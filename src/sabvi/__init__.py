@@ -39,7 +39,6 @@ from .vi import (
     UnsupportedRegionError,
     kl_elbo_objective,
     mc_objective,
-    mc_objective_grad,
     sample_reparam,
     train,
 )

@@ -371,8 +371,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
+_POSITIVE_COUNTS = {
+    "toy": ("seeds", "steps", "mc_samples"),
+    "uci": ("steps", "mc_samples"),
+}
+
+
 def _validate(config: dict) -> None:
     cmd = config["command"]
+    for key in _POSITIVE_COUNTS.get(cmd, ()):
+        if config[key] < 1:
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} must be at least 1, got {config[key]}")
     if cmd == "divergence" and (not config.get("p") or not config.get("q")):
         raise ConfigError("divergence needs --p and --q density specs")
     if cmd == "uci" and not config.get("csv"):

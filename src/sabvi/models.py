@@ -1,14 +1,19 @@
 """Regression joint densities: Bayesian linear regression and a small
 ReLU Bayesian neural network.
 
-A model exposes ``dim``, ``log_joint(theta, data)``,
-``grad_log_joint(theta, data)`` and ``predict_f(theta, X)``; anything with
-that surface plugs into the variational trainer.  ``data`` is any object
-with ``X`` (N x D) and ``y`` (N,) attributes.
+The variational trainer needs ``dim`` and one batched method,
+``log_joint_and_grad(thetas, data) -> (a, G)``: for a K x dim array of
+parameter rows it returns the K log joints and their K x dim gradients.
+Both models evaluate all rows in one stacked forward and backward pass.
+``log_joint(theta, data)``, ``grad_log_joint(theta, data)`` and
+``predict_f(theta, X)`` are one-row views of the same code, for callers
+that hold a single theta.  ``data`` is any object with ``X`` (N x D) and
+``y`` (N,) attributes.
 
 Gradient correctness for every model is enforced by
 `check_log_joint_gradient`, the shared finite-difference conformance
-check, run both in the tests and by the gradient-diagnostics command.
+check of the batched method, run both in the tests and by the
+gradient-diagnostics command.
 """
 
 from __future__ import annotations
@@ -37,10 +42,21 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _gaussian_logpdf_sum(resid: np.ndarray, sigma: float) -> float:
-    n = resid.size
-    return float(-0.5 * np.dot(resid, resid) / sigma**2
-                 - n * (math.log(sigma) + 0.5 * _LOG_2PI))
+def _as_rows(thetas, dim: int) -> np.ndarray:
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != dim:
+        raise ValueError(f"thetas must be a K x {dim} array, one parameter vector per row")
+    return thetas
+
+
+def _gaussian_loglik(resid: np.ndarray, sigma) -> np.ndarray:
+    """Row sums of the zero-mean Gaussian log density of K x N residuals.
+
+    sigma is a scalar or one noise scale per row.
+    """
+    n = resid.shape[1]
+    return (-0.5 * np.einsum("kn,kn->k", resid, resid) / sigma**2
+            - n * (np.log(sigma) + 0.5 * _LOG_2PI))
 
 
 # ---------------------------------------------------------------------------
@@ -71,41 +87,45 @@ class BLRModel:
     def dim(self) -> int:
         return self.input_dim + (1 if self.include_bias else 0)
 
-    def _split(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta must have length {self.dim}")
+    def _prior_sigmas(self) -> np.ndarray:
+        sigmas = np.full(self.dim, float(self.prior_w_sigma))
         if self.include_bias:
-            return theta[:-1], float(theta[-1])
-        return theta, 0.0
+            sigmas[-1] = self.prior_b_sigma
+        return sigmas
+
+    def _outputs(self, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """K x N regression outputs, one row per parameter row."""
+        f = thetas[:, :self.input_dim] @ X.T
+        if self.include_bias:
+            f += thetas[:, -1:]
+        return f
 
     def predict_f(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        w, b = self._split(theta)
-        return np.asarray(X, dtype=float) @ w + b
+        thetas = _as_rows(np.asarray(theta)[None], self.dim)
+        return self._outputs(thetas, np.asarray(X, dtype=float))[0]
+
+    def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
+        """log p(theta_k, data) and its gradient for every row of K x dim thetas."""
+        thetas = _as_rows(thetas, self.dim)
+        X, y = _as_xy(data)
+        sigmas = self._prior_sigmas()
+        scaled = thetas / sigmas
+        value = (-0.5 * np.einsum("kd,kd->k", scaled, scaled)
+                 - float(np.sum(np.log(sigmas))) - 0.5 * self.dim * _LOG_2PI)
+        grad = -scaled / sigmas
+        resid = y - self._outputs(thetas, X)
+        value += _gaussian_loglik(resid, self.noise_sigma)
+        back = resid / self.noise_sigma**2
+        grad[:, :self.input_dim] += back @ X
+        if self.include_bias:
+            grad[:, -1] += back.sum(axis=1)
+        return value, grad
 
     def log_joint(self, theta: np.ndarray, data) -> float:
-        w, b = self._split(theta)
-        X, y = _as_xy(data)
-        value = _gaussian_logpdf_sum(w, self.prior_w_sigma)
-        if self.include_bias:
-            value += _gaussian_logpdf_sum(np.array([b]), self.prior_b_sigma)
-        if y.size:
-            value += _gaussian_logpdf_sum(y - self.predict_f(theta, X), self.noise_sigma)
-        return value
+        return float(self.log_joint_and_grad(np.asarray(theta)[None], data)[0][0])
 
     def grad_log_joint(self, theta: np.ndarray, data) -> np.ndarray:
-        w, b = self._split(theta)
-        X, y = _as_xy(data)
-        resid = y - self.predict_f(theta, X) if y.size else np.zeros(0)
-        grad_w = -w / self.prior_w_sigma**2
-        if y.size:
-            grad_w = grad_w + X.T @ resid / self.noise_sigma**2
-        if not self.include_bias:
-            return grad_w
-        grad_b = -b / self.prior_b_sigma**2
-        if y.size:
-            grad_b += resid.sum() / self.noise_sigma**2
-        return np.concatenate([grad_w, [grad_b]])
+        return self.log_joint_and_grad(np.asarray(theta)[None], data)[1][0]
 
 
 def blr_design_matrix(model: BLRModel, X: np.ndarray) -> np.ndarray:
@@ -124,10 +144,7 @@ def blr_exact_posterior(model: BLRModel, data) -> tuple[np.ndarray, np.ndarray]:
     """
     X, y = _as_xy(data)
     phi = blr_design_matrix(model, X)
-    prior_prec = np.full(model.dim, model.prior_w_sigma ** -2)
-    if model.include_bias:
-        prior_prec[-1] = model.prior_b_sigma ** -2
-    precision = phi.T @ phi / model.noise_sigma**2 + np.diag(prior_prec)
+    precision = phi.T @ phi / model.noise_sigma**2 + np.diag(model._prior_sigmas() ** -2)
     cov = np.linalg.inv(precision)
     mean = cov @ (phi.T @ y) / model.noise_sigma**2
     return mean, cov
@@ -171,78 +188,75 @@ class BNNModel:
                     for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         return count + (1 if self.learn_noise else 0)
 
-    def _unpack(self, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta must have length {self.dim}")
-        layers = []
-        pos = 0
+    def _layer_slices(self) -> list[tuple[slice, slice, int, int]]:
+        """(weight slice, bias slice, n_out, n_in) of each layer in theta."""
+        out, pos = [], 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            W = theta[pos:pos + n_out * n_in].reshape(n_out, n_in)
-            pos += n_out * n_in
-            b = theta[pos:pos + n_out]
-            pos += n_out
-            layers.append((W, b))
-        log_sigma = float(theta[pos]) if self.learn_noise else self.noise_log_sigma
-        return layers, log_sigma
+            w_end = pos + n_out * n_in
+            out.append((slice(pos, w_end), slice(w_end, w_end + n_out), n_out, n_in))
+            pos = w_end + n_out
+        return out
 
-    def _forward(self, layers, X: np.ndarray):
-        h = np.asarray(X, dtype=float)
-        pre_acts = []
-        acts = [h]
-        for i, (W, b) in enumerate(layers):
-            z = h @ W.T + b
-            pre_acts.append(z)
-            h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
+    def _forward(self, thetas: np.ndarray, X: np.ndarray):
+        """Run all K networks on X: (weights, activations).
+
+        Weights are K x out x in.  activations[0] is X itself (N x D); every
+        later one is K x N x width, and the last is the network output.
+        Each hidden ReLU is applied in place, so a unit is active exactly
+        where its activation is positive.
+        """
+        weights, acts = [], [X]
+        for i, (w_sl, b_sl, n_out, n_in) in enumerate(self._layer_slices()):
+            if i:
+                np.maximum(acts[-1], 0.0, out=acts[-1])
+            W = thetas[:, w_sl].reshape(-1, n_out, n_in)
+            h = np.matmul(acts[-1], W.transpose(0, 2, 1))
+            h += thetas[:, None, b_sl]
+            weights.append(W)
             acts.append(h)
-        return acts, pre_acts
+        return weights, acts
 
     def predict_f(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        layers, _ = self._unpack(theta)
-        acts, _ = self._forward(layers, X)
-        return acts[-1][:, 0]
+        thetas = _as_rows(np.asarray(theta)[None], self.dim)
+        _, acts = self._forward(thetas, np.asarray(X, dtype=float))
+        return acts[-1][0, :, 0]
+
+    def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
+        """log p(theta_k, data) and its gradient for every row of K x dim thetas.
+
+        One forward pass of all K networks, then one backward pass of the
+        Gaussian log-likelihood through them.
+        """
+        thetas = _as_rows(thetas, self.dim)
+        X, y = _as_xy(data)
+        k = len(thetas)
+        value = (-0.5 * np.einsum("kd,kd->k", thetas, thetas) / self.prior_sigma**2
+                 - self.dim * (math.log(self.prior_sigma) + 0.5 * _LOG_2PI))
+        grad = -thetas / self.prior_sigma**2
+        if self.learn_noise:
+            sigma = np.exp(thetas[:, -1])
+        else:
+            sigma = np.full(k, math.exp(self.noise_log_sigma))
+        weights, acts = self._forward(thetas, X)
+        resid = y - acts[-1][:, :, 0]
+        value += _gaussian_loglik(resid, sigma)
+        delta = (resid / sigma[:, None] ** 2)[:, :, None]  # d loglik / d output
+        ones = np.ones(len(y))  # column sums as a matmul, faster than sum(axis=1)
+        for i, (w_sl, b_sl, _, _) in reversed(list(enumerate(self._layer_slices()))):
+            grad[:, w_sl] += np.matmul(delta.transpose(0, 2, 1), acts[i]).reshape(k, -1)
+            grad[:, b_sl] += ones @ delta
+            if i:
+                delta = np.matmul(delta, weights[i])
+                delta *= acts[i] > 0
+        if self.learn_noise:
+            grad[:, -1] += np.sum(resid**2, axis=1) / sigma**2 - len(y)
+        return value, grad
 
     def log_joint(self, theta: np.ndarray, data) -> float:
-        layers, log_sigma = self._unpack(theta)
-        X, y = _as_xy(data)
-        theta = np.asarray(theta, dtype=float)
-        value = _gaussian_logpdf_sum(theta, self.prior_sigma)
-        if y.size:
-            f = self.predict_f(theta, X)
-            value += _gaussian_logpdf_sum(y - f, math.exp(log_sigma))
-        return value
+        return float(self.log_joint_and_grad(np.asarray(theta)[None], data)[0][0])
 
     def grad_log_joint(self, theta: np.ndarray, data) -> np.ndarray:
-        layers, log_sigma = self._unpack(theta)
-        X, y = _as_xy(data)
-        theta = np.asarray(theta, dtype=float)
-        grad = -theta / self.prior_sigma**2
-        if not y.size:
-            return grad
-
-        sigma = math.exp(log_sigma)
-        acts, pre_acts = self._forward(layers, X)
-        resid = y - acts[-1][:, 0]
-        # backprop of the Gaussian log-likelihood through the network
-        delta = (resid / sigma**2)[:, None]  # d loglik / d output
-        pos = self.dim - (1 if self.learn_noise else 0)
-        grads_rev = []
-        for i in range(len(layers) - 1, -1, -1):
-            W, _ = layers[i]
-            gW = delta.T @ acts[i]
-            gb = delta.sum(axis=0)
-            grads_rev.append((gW, gb))
-            if i > 0:
-                delta = (delta @ W) * (pre_acts[i - 1] > 0)
-        flat = []
-        for gW, gb in reversed(grads_rev):
-            flat.append(gW.ravel())
-            flat.append(gb)
-        net_grad = np.concatenate(flat)
-        grad[:pos] += net_grad
-        if self.learn_noise:
-            grad[pos] += float(np.sum(resid**2 / sigma**2 - 1.0))
-        return grad
+        return self.log_joint_and_grad(np.asarray(theta)[None], data)[1][0]
 
 
 def model_noise_sigma(model) -> float:
@@ -336,22 +350,22 @@ def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
 
 def check_log_joint_gradient(model, data, seed: int = 0, n_points: int = 20,
                              h: float = 1e-6, scale: float = 0.5) -> float:
-    """Max relative error between grad_log_joint and central differences.
+    """Max relative error between log_joint_and_grad and central differences.
 
     Points are drawn continuously so ReLU kinks are almost surely avoided;
     each component error is measured against max(1, |finite difference|).
+    The analytic gradients come from one batched call over the points, the
+    differences from one batched call per point over its 2 * dim
+    perturbed rows.
     """
     g = rng.generator(seed, rng.compose_stream(rng.STREAM_DATA))
+    thetas = scale * g.standard_normal((n_points, model.dim))
+    _, analytic = model.log_joint_and_grad(thetas, data)
     worst = 0.0
-    for _ in range(n_points):
-        theta = scale * g.standard_normal(model.dim)
-        analytic = model.grad_log_joint(theta, data)
-        fd = np.empty_like(analytic)
-        for i in range(model.dim):
-            step = np.zeros(model.dim)
-            step[i] = h * max(1.0, abs(theta[i]))
-            fd[i] = (model.log_joint(theta + step, data)
-                     - model.log_joint(theta - step, data)) / (2 * step[i])
-        err = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
-        worst = max(worst, float(err))
+    for theta, grad in zip(thetas, analytic):
+        steps = h * np.maximum(1.0, np.abs(theta))
+        shifts = np.diag(steps)  # row i moves coordinate i
+        a, _ = model.log_joint_and_grad(np.concatenate([theta + shifts, theta - shifts]), data)
+        fd = (a[:model.dim] - a[model.dim:]) / (2 * steps)
+        worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))))
     return worst

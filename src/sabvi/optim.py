@@ -20,6 +20,8 @@ class AdamConfig:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if self.steps < 0:
+            raise ValueError("steps must be non-negative")
 
     def to_dict(self) -> dict:
         return {"learning_rate": self.learning_rate, "beta1": self.beta1,

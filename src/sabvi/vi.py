@@ -16,10 +16,11 @@ in the weighted sum: the estimator never needs the marginal likelihood.
 
 Gradients are exact derivatives of the estimator with the noise block held
 fixed: each term differentiates into a softmax-weighted average of
-per-sample exponent gradients, where d a_k/d mu = grad_log_joint(theta_k),
-d a_k/d log sigma = grad * sigma * eps_k, and b_k depends on the
-variational parameters only through -sum(log sigma) once reparameterized
-(d b_k/d mu = 0, d b_k/d log sigma_i = -1).
+per-sample exponent gradients.  One ``model.log_joint_and_grad`` call on
+the K x d sample rows gives every a_k and its gradient G_k, so that
+d a_k/d mu = G_k and d a_k/d log sigma = G_k * sigma * eps_k; b_k depends
+on the variational parameters only through -sum(log sigma) once
+reparameterized (d b_k/d mu = 0, d b_k/d log sigma_i = -1).
 
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
@@ -125,20 +126,14 @@ def _require_generic(params: DivergenceParams):
 
 
 def _log_joints(q: MeanFieldGaussian, model, data, noise: NoiseBlock,
-                with_grad: bool, strict: bool = True):
-    """Evaluate the model at every reparameterized sample.
+                strict: bool = True):
+    """Evaluate the model at every reparameterized sample in one batched call.
 
     strict=True raises on a non-finite log joint (the contract of the
     public estimator ops); strict=False lets NaN/inf flow through so the
     training loop's divergence accounting can see them.
     """
-    thetas = sample_reparam(q, noise)
-    a = np.empty(noise.n_samples)
-    grads = np.empty((noise.n_samples, q.dim)) if with_grad else None
-    for k, theta in enumerate(thetas):
-        a[k] = model.log_joint(theta, data)
-        if with_grad:
-            grads[k] = model.grad_log_joint(theta, data)
+    a, grads = model.log_joint_and_grad(sample_reparam(q, noise), data)
     if strict and not np.all(np.isfinite(a)):
         raise ValueError("model log_joint returned a non-finite value")
     return a, grads
@@ -170,17 +165,10 @@ def mc_objective(params: DivergenceParams, q: MeanFieldGaussian, model, data,
     _require_generic(params)
     if model.dim != q.dim:
         raise ValueError("model dim does not match q dim")
-    a, _ = _log_joints(q, model, data, noise, with_grad=False)
+    a, _ = _log_joints(q, model, data, noise)
     b = _log_q_values(q, noise)
     value, _ = _mc_terms(params, a, b)
     return value
-
-
-def mc_objective_grad(params: DivergenceParams, q: MeanFieldGaussian, model,
-                      data, noise: NoiseBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (d mu, d log sigma) of mc_objective for the given noise block."""
-    value, d_mu, d_ls = mc_objective_with_grad(params, q, model, data, noise)
-    return d_mu, d_ls
 
 
 def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
@@ -188,7 +176,7 @@ def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
     _require_generic(params)
     if model.dim != q.dim:
         raise ValueError("model dim does not match q dim")
-    a, g = _log_joints(q, model, data, noise, with_grad=True, strict=strict)
+    a, g = _log_joints(q, model, data, noise, strict=strict)
     b = _log_q_values(q, noise)
     value, (s1, s2, s3) = _mc_terms(params, a, b)
 
@@ -221,7 +209,7 @@ def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: NoiseBlock,
                       strict: bool = True):
     if model.dim != q.dim:
         raise ValueError("model dim does not match q dim")
-    a, g = _log_joints(q, model, data, noise, with_grad=True, strict=strict)
+    a, g = _log_joints(q, model, data, noise, strict=strict)
     b = _log_q_values(q, noise)
     k = noise.n_samples
     value = float(np.mean(b - a))
@@ -283,7 +271,8 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
     rerun with the same configuration reproduces the trace bit for bit and
     concurrent runs stay independent by choosing distinct streams.  The
     (1, 0) corner routes through the negative-ELBO path; other exact limit
-    parameters are rejected up front.
+    parameters are rejected up front.  A run that never sees a finite
+    step raises TrainingDiverged too, however few steps it has.
     """
     if stream is None:
         stream = rng.compose_stream(rng.STREAM_TRAIN)
@@ -297,6 +286,7 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
     d = q0.dim
     trace = np.empty(opt.steps)
     bad_streak = 0
+    finite_steps = 0
     q = q0
     for step in range(opt.steps):
         q = MeanFieldGaussian(state.params[:d], state.params[d:])
@@ -318,9 +308,15 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
                     f"at (alpha={params.alpha}, beta={params.beta})", report)
             continue  # skip the update, keep counting
         bad_streak = 0
+        finite_steps += 1
         state = adam_step(state, grad, opt)
     final = MeanFieldGaussian(state.params[:d], state.params[d:])
-    return _report(params, final, trace, mc, opt, q0, stream, kl_path)
+    report = _report(params, final, trace, mc, opt, q0, stream, kl_path)
+    if opt.steps and not finite_steps:
+        raise TrainingDiverged(
+            f"objective non-finite at all {opt.steps} steps "
+            f"at (alpha={params.alpha}, beta={params.beta})", report)
+    return report
 
 
 def _report(params, final, trace, mc, opt, q0, stream, kl_path) -> TrainReport:

@@ -20,13 +20,11 @@ class GaussianJointModel:
         self.sigma = sigma
         self.log_scale = log_scale
 
-    def log_joint(self, theta, data):
-        z = (theta[0] - self.mean) / self.sigma
-        return (-0.5 * z * z - math.log(self.sigma)
-                - 0.5 * math.log(2.0 * math.pi) + self.log_scale)
-
-    def grad_log_joint(self, theta, data):
-        return np.array([-(theta[0] - self.mean) / self.sigma**2])
+    def log_joint_and_grad(self, thetas, data):
+        z = (thetas[:, 0] - self.mean) / self.sigma
+        a = (-0.5 * z * z - math.log(self.sigma)
+             - 0.5 * math.log(2.0 * math.pi) + self.log_scale)
+        return a, (-z / self.sigma)[:, None]
 
 
 def sample_gaussian_pair(rng, span=10.0, n=4001, mu_range=2.0, sigma_lo=0.7, sigma_hi=1.6):

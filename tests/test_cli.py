@@ -138,6 +138,14 @@ class TestToyCommand:
     def test_bad_settings_string(self, tmp_path):
         assert run_cli("toy", "--settings", "nope", "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("flag,value", [("--steps", -1), ("--mc-samples", 0),
+                                            ("--seeds", 0)])
+    def test_bad_count_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run_cli("toy", flag, value, "--out", out) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUciCommand:
     @pytest.fixture

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from sabvi.gradcheck import MODEL_GRAD_TOL, model_gradient_suite
 from sabvi.models import (
@@ -178,3 +181,62 @@ class TestPredict:
     def test_draw_count_validated(self):
         with pytest.raises(ValueError):
             PredictiveSummary(np.zeros(2), np.zeros(2), 0)
+
+
+def _reference_log_joint(model, theta, X, y):
+    """The model's log joint written out per theta from scipy densities."""
+    if isinstance(model, BLRModel):
+        w, b = (theta[:-1], theta[-1]) if model.include_bias else (theta, 0.0)
+        prior = norm.logpdf(w, scale=model.prior_w_sigma).sum()
+        if model.include_bias:
+            prior += norm.logpdf(b, scale=model.prior_b_sigma)
+        return prior + norm.logpdf(y, loc=X @ w + b, scale=model.noise_sigma).sum()
+    sizes = model.layer_sizes
+    h, pos = X, 0
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        W = theta[pos:pos + n_out * n_in].reshape(n_out, n_in)
+        h = h @ W.T + theta[pos + n_out * n_in:pos + n_out * (n_in + 1)]
+        pos += n_out * (n_in + 1)
+        if i < len(sizes) - 2:
+            h = np.maximum(h, 0.0)
+    log_sigma = theta[-1] if model.learn_noise else model.noise_log_sigma
+    return (norm.logpdf(theta, scale=model.prior_sigma).sum()
+            + norm.logpdf(y, loc=h[:, 0], scale=math.exp(log_sigma)).sum())
+
+
+@st.composite
+def _model_problems(draw):
+    """(model, K x dim thetas, data), with empty data among the cases."""
+    d_in = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        model = BLRModel(input_dim=d_in, include_bias=draw(st.booleans()),
+                         noise_sigma=draw(st.sampled_from([0.1, 0.5, 2.0])))
+    else:
+        hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        model = BNNModel(layer_sizes=(d_in, *hidden, 1), learn_noise=draw(st.booleans()))
+    k, n = draw(st.integers(1, 9)), draw(st.integers(0, 12))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = g.uniform(-1.0, 1.0, (n, d_in))
+    return model, 0.7 * g.standard_normal((k, model.dim)), XYData(X, g.standard_normal(n))
+
+
+class TestBatchedContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_model_problems())
+    def test_batched_rows_match_per_theta(self, problem):
+        model, thetas, data = problem
+        a, G = model.log_joint_and_grad(thetas, data)
+        assert a.shape == (len(thetas),) and G.shape == thetas.shape
+        for theta, a_k, g_k in zip(thetas, a, G):
+            scale = max(1.0, abs(a_k))
+            assert abs(model.log_joint(theta, data) - a_k) <= 1e-12 * scale
+            assert abs(_reference_log_joint(model, theta, data.X, data.y) - a_k) <= 1e-12 * scale
+            g_scale = max(1.0, float(np.max(np.abs(g_k))))
+            assert np.max(np.abs(model.grad_log_joint(theta, data) - g_k)) <= 1e-12 * g_scale
+
+    @pytest.mark.parametrize("model", [BLRModel(input_dim=2), BNNModel(layer_sizes=(2, 3, 1))])
+    def test_rows_must_match_dim(self, model):
+        data = XYData(np.zeros((1, 2)), np.zeros(1))
+        for bad in (np.zeros(model.dim), np.zeros((2, model.dim + 1))):
+            with pytest.raises(ValueError, match="K x"):
+                model.log_joint_and_grad(bad, data)

@@ -65,7 +65,7 @@ class TestMCObjective:
         params = DivergenceParams(1.3, 0.4)
         noise = sabrng.noise_block(3, 0, 0, 64, 1)
         thetas = sample_reparam(q, noise)
-        a = np.array([model.log_joint(t, None) for t in thetas])
+        a, _ = model.log_joint_and_grad(thetas, None)
         b = np.array([-0.5 * ((t[0] - 0.2) / 0.9) ** 2 - math.log(0.9)
                       - 0.5 * math.log(2 * math.pi) for t in thetas])
         al, be, lam = 1.3, 0.4, 1.7
@@ -116,8 +116,9 @@ class TestMCObjective:
 
     def test_non_finite_log_joint_is_a_model_error(self):
         class BadModel(GaussianJointModel):
-            def log_joint(self, theta, data):
-                return math.nan
+            def log_joint_and_grad(self, thetas, data):
+                a, grads = super().log_joint_and_grad(thetas, data)
+                return np.full_like(a, math.nan), grads
 
         q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
         noise = sabrng.noise_block(0, 0, 0, 4, 1)
@@ -224,6 +225,13 @@ class TestAdam:
             AdamConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             AdamConfig(beta1=1.0)
+        with pytest.raises(ValueError, match="steps"):
+            AdamConfig(steps=-1)
+
+
+class BrokenModel(GaussianJointModel):
+    def log_joint_and_grad(self, thetas, data):
+        return np.full(len(thetas), math.nan), np.full((len(thetas), 1), math.nan)
 
 
 class TestTrain:
@@ -257,18 +265,35 @@ class TestTrain:
         assert np.all(diffs <= 0.05 * drop)
 
     def test_aborts_after_persistent_non_finite_objective(self):
-        class BrokenModel(GaussianJointModel):
-            def log_joint(self, theta, data):
-                return math.nan
-
-            def grad_log_joint(self, theta, data):
-                return np.array([math.nan])
-
         with pytest.raises(TrainingDiverged) as excinfo:
             train(DivergenceParams(1.2, 0.4), MeanFieldGaussian.initial(1),
                   BrokenModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=100))
         report = excinfo.value.report
         assert report is not None and report.trace.size == 10
+
+    @pytest.mark.parametrize("alpha,beta", [(1.2, 0.4), (1.0, 0.0)])
+    def test_short_run_without_a_finite_step_diverges(self, alpha, beta):
+        # fewer steps than the consecutive-failure limit: the run still
+        # must not return q0 as a fitted posterior
+        with pytest.raises(TrainingDiverged, match="all 5 steps") as excinfo:
+            train(DivergenceParams(alpha, beta), MeanFieldGaussian.initial(1),
+                  BrokenModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=5))
+        report = excinfo.value.report
+        assert report.trace.size == 5 and np.all(np.isnan(report.trace))
+
+    def test_one_finite_step_is_enough_to_finish(self):
+        class FlakyModel(GaussianJointModel):
+            calls = 0
+
+            def log_joint_and_grad(self, thetas, data):
+                self.calls += 1
+                a, grads = super().log_joint_and_grad(thetas, data)
+                return (a if self.calls == 3 else np.full_like(a, math.nan)), grads
+
+        report = train(DivergenceParams(1.2, 0.4), MeanFieldGaussian.initial(1),
+                       FlakyModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=5))
+        assert np.isfinite(report.trace).sum() == 1
+        assert report.final.mu[0] != 0.0
 
     def test_report_serializes(self):
         model, data, _, _ = conjugate_problem()
