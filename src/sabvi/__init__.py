@@ -21,6 +21,7 @@ from .divergence import (
     log_integral,
 )
 from .density_fit import (
+    FitEvaluator,
     FitObjective,
     FitResult,
     Gaussian1D,

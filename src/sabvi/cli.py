@@ -99,23 +99,31 @@ def cmd_divergence(config: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_fit_density(config: dict, outdir: Path) -> int:
+def _fit_objective(config: dict) -> FitObjective:
     kind = config["divergence"]
     if kind == "kl":
-        objective = FitObjective.kl()
-    elif kind == "renyi":
+        return FitObjective.kl()
+    if kind == "renyi":
         if config.get("alpha") is None:
             raise ConfigError("renyi fit needs --alpha")
-        objective = FitObjective.renyi(config["alpha"])
-    elif kind == "gamma":
+        return FitObjective.renyi(config["alpha"])
+    if kind == "gamma":
         if config.get("beta") is None:
             raise ConfigError("gamma fit needs --beta")
-        objective = FitObjective.gamma(config["beta"])
-    elif kind == "sab":
+        return FitObjective.gamma(config["beta"])
+    if kind == "sab":
         params = _resolve_params(config)
-        objective = FitObjective.sab(params.alpha, params.beta)
-    else:
-        raise ConfigError(f"unknown fit divergence {kind!r}")
+        return FitObjective.sab(params.alpha, params.beta)
+    raise ConfigError(f"unknown fit divergence {kind!r}")
+
+
+def cmd_fit_density(config: dict, outdir: Path) -> int:
+    # parameters on a limit surface (or non-finite) are a bad request, not
+    # a numerical failure of the fit
+    try:
+        objective = _fit_objective(config)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
     spec = parse_density_spec(config["target"])
     if isinstance(spec, GridSpec):
@@ -371,18 +379,23 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
-_POSITIVE_COUNTS = {
-    "toy": ("seeds", "steps", "mc_samples"),
-    "uci": ("steps", "mc_samples"),
+_MIN_COUNTS = {
+    "divergence": {"grid_points": 2},
+    "fit-density": {"grid_points": 2, "max_iters": 1},
+    "toy": {"seeds": 1, "steps": 1, "mc_samples": 1},
+    "uci": {"steps": 1, "mc_samples": 1},
 }
 
 
 def _validate(config: dict) -> None:
     cmd = config["command"]
-    for key in _POSITIVE_COUNTS.get(cmd, ()):
-        if config[key] < 1:
+    for key, least in _MIN_COUNTS.get(cmd, {}).items():
+        if config[key] < least:
             flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} must be at least 1, got {config[key]}")
+            raise ConfigError(f"{flag} must be at least {least}, got {config[key]}")
+    rate = config.get("learning_rate")
+    if rate is not None and not (math.isfinite(rate) and rate > 0):
+        raise ConfigError(f"--learning-rate must be positive and finite, got {rate}")
     if cmd == "divergence" and (not config.get("p") or not config.get("q")):
         raise ConfigError("divergence needs --p and --q density specs")
     if cmd == "uci" and not config.get("csv"):

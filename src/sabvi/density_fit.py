@@ -12,8 +12,13 @@ overflow:
     gamma_b(q, p): ( E[g] under w q^(b+1) - E[g] under w q p^b ) / b
     sAB(q, p):     ( E[g] under w q^(a+b)  - E[g] under w q^a p^b ) / b
 
-Central finite differences of the corresponding divergence values are the
-test oracle for all four.
+These weights are the softmaxes of the power terms the divergence value
+is made of, so a fit step is one fused evaluation (`FitEvaluator`) that
+exponentiates each term once for both.  `divergence_value` goes through
+the divergence module's `eval_*` functions instead and stays the
+independent reference: central finite differences of it are the test
+oracle for all four gradients, and the tests check the fused value
+against it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .divergence import (
     eval_renyi,
     eval_sab,
     gaussian_log_pdf,
-    _power_softmax,
+    _power_lse,
 )
 from .optim import AdamConfig, AdamState, adam_step
 
@@ -167,6 +172,21 @@ class FitObjective:
     alpha: float | None = None
     beta: float | None = None
 
+    def __post_init__(self):
+        if self.kind == "sab":
+            if classify_region(DivergenceParams(self.alpha, self.beta)) is not Region.GENERIC:
+                raise DomainError(
+                    "sab fit objective needs generic-region parameters; use the "
+                    "dedicated kl/renyi/gamma objectives on the limit surfaces")
+        elif self.kind == "renyi":
+            if not math.isfinite(self.alpha) or self.alpha in (0.0, 1.0):
+                raise DomainError(f"Renyi order must be finite and avoid {{0, 1}}, got {self.alpha}")
+        elif self.kind == "gamma":
+            if not math.isfinite(self.beta) or self.beta in (0.0, -1.0):
+                raise DomainError(f"gamma order must be finite and avoid {{0, -1}}, got {self.beta}")
+        elif self.kind != "kl":
+            raise ValueError(f"unknown fit objective kind {self.kind!r}")
+
     @classmethod
     def kl(cls):
         return cls("kl")
@@ -181,11 +201,6 @@ class FitObjective:
 
     @classmethod
     def sab(cls, alpha: float, beta: float):
-        params = DivergenceParams(alpha, beta)
-        if classify_region(params) is not Region.GENERIC:
-            raise DomainError(
-                "sab fit objective needs generic-region parameters; use the "
-                "dedicated kl/renyi/gamma objectives on the limit surfaces")
         return cls("sab", alpha=alpha, beta=beta)
 
     def label(self) -> str:
@@ -199,7 +214,10 @@ class FitObjective:
 
 
 def divergence_value(objective: FitObjective, q: Gaussian1D, p: GridDensity) -> float:
-    """The minimized quantity: divergence from the Gaussian to the target."""
+    """The minimized quantity: divergence from the Gaussian to the target.
+
+    Computed by the `eval_*` functions, independently of `FitEvaluator`.
+    """
     qd = q.tabulate(p)
     if objective.kind == "kl":
         return eval_kl(qd, p)
@@ -217,33 +235,70 @@ def _dlogq_dphi(q: Gaussian1D, x: np.ndarray) -> np.ndarray:
     return np.stack(((x - q.mu) / s2, z2 - 1.0))
 
 
+class FitEvaluator:
+    """Fused value and gradient of one objective against one fixed target.
+
+    Built once per fit: keeps the grid, the quadrature log weights and the
+    target-only power term (log I(p^(a+b)) for sAB, log I(p^(b+1)) for
+    gamma).  Each call tabulates q once and exponentiates
+    each q-dependent power term once; the term's log integral goes into the
+    value and its softmax weights into the gradient.  Values, floored-tail
+    checks and error messages are those of the `eval_*` functions behind
+    `divergence_value`.
+    """
+
+    def __init__(self, objective: FitObjective, p: GridDensity):
+        self.objective = objective
+        self.p = p
+        self.x = p.x
+        measure = QuadratureMeasure.trapezoid(p, normalized=objective.kind == "sab")
+        self.w = measure.weights
+        self.log_w = measure.log_weights
+        # q enters the target-only term with exponent 0, so p fills both slots
+        if objective.kind == "sab":
+            self.t_target = _power_lse(0.0, objective.alpha + objective.beta, p, p,
+                                       self.log_w, "second-density power term")[0]
+        elif objective.kind == "gamma":
+            self.t_target = _power_lse(0.0, objective.beta + 1.0, p, p,
+                                       self.log_w, "gamma q-power term")[0]
+
+    def value_and_grad(self, q: Gaussian1D) -> tuple[float, np.ndarray]:
+        """(divergence_value, analytic_gradient) at q, in one pass."""
+        kind, a, b = self.objective.kind, self.objective.alpha, self.objective.beta
+        p, log_w = self.p, self.log_w
+        qd = GridDensity(p.lo, p.hi, q.log_pdf(self.x))
+        g = _dlogq_dphi(q, self.x)
+
+        if kind == "kl":
+            e = np.exp(qd.log_values)
+            d = qd.log_values - p.log_values
+            return float(np.dot(self.w, e * d)), g @ (self.w * (e * (d + 1.0)))
+        if kind == "renyi":
+            t, s = _power_lse(a, 1.0 - a, qd, p, log_w, "Renyi cross term")
+            return t / (a - 1.0), (a / (a - 1.0)) * (g @ s)
+        if kind == "gamma":
+            t_q, s_q = _power_lse(b + 1.0, 0.0, qd, p, log_w, "gamma p-power term")
+            t_c, s_c = _power_lse(1.0, b, qd, p, log_w, "gamma cross term")
+            value = t_q / (b * (b + 1.0)) + self.t_target / (b + 1.0) - t_c / b
+            return value, (g @ s_q - g @ s_c) / b
+        lam = a + b
+        t_q, s_q = _power_lse(lam, 0.0, qd, p, log_w, "first-density power term")
+        t_c, s_c = _power_lse(a, b, qd, p, log_w, "cross term")
+        value = t_q / (b * lam) + self.t_target / (a * lam) - t_c / (a * b)
+        if not math.isfinite(value):
+            raise EvaluationError(
+                f"non-finite sAB value in region {Region.GENERIC.value} at "
+                f"(alpha={a}, beta={b})")
+        return value, (g @ s_q - g @ s_c) / b
+
+
 def analytic_gradient(objective: FitObjective, q: Gaussian1D,
                       p: GridDensity) -> np.ndarray:
-    """(d/d mu, d/d log sigma) of divergence_value at q, by quadrature."""
-    qd = q.tabulate(p)
-    x = p.x
-    g = _dlogq_dphi(q, x)
+    """(d/d mu, d/d log sigma) of divergence_value at q, by quadrature.
 
-    if objective.kind == "kl":
-        w = QuadratureMeasure.trapezoid(p, normalized=False).weights
-        diff = qd.log_values - p.log_values
-        integrand = np.exp(qd.log_values) * (diff + 1.0)
-        return g @ (w * integrand)
-
-    log_w = QuadratureMeasure.trapezoid(p, normalized=False).log_weights
-    if objective.kind == "renyi":
-        a = objective.alpha
-        s = _power_softmax(a, 1.0 - a, qd, p, log_w, "Renyi gradient term")
-        return (a / (a - 1.0)) * (g @ s)
-    if objective.kind == "gamma":
-        b = objective.beta
-        s1 = _power_softmax(b + 1.0, 0.0, qd, p, log_w, "gamma gradient power term")
-        s2 = _power_softmax(1.0, b, qd, p, log_w, "gamma gradient cross term")
-        return (g @ s1 - g @ s2) / b
-    a, b = objective.alpha, objective.beta
-    s1 = _power_softmax(a + b, 0.0, qd, p, log_w, "sAB gradient power term")
-    s2 = _power_softmax(a, b, qd, p, log_w, "sAB gradient cross term")
-    return (g @ s1 - g @ s2) / b
+    A view of `FitEvaluator.value_and_grad`, the evaluation fits use.
+    """
+    return FitEvaluator(objective, p).value_and_grad(q)[1]
 
 
 def finite_diff_gradient(objective: FitObjective, q: Gaussian1D, p: GridDensity,
@@ -304,6 +359,7 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     if opt is None:
         opt = AdamConfig()
 
+    evaluator = FitEvaluator(objective, p)
     state = AdamState.init(np.array([init.mu, init.log_sigma]))
     trace = []
     q = init
@@ -312,8 +368,7 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     for _ in range(max_iters):
         q = Gaussian1D(state.params[0], state.params[1])
         try:
-            value = divergence_value(objective, q, p)
-            grad = analytic_gradient(objective, q, p)
+            value, grad = evaluator.value_and_grad(q)
         except EvaluationError as exc:
             if trace:
                 exc.partial_result = FitResult(q, np.array(trace), False, iterations)

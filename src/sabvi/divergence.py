@@ -239,57 +239,31 @@ def log_integral(log_f: np.ndarray, measure: QuadratureMeasure) -> float:
 _FLOOR_DOMINANCE = 0.5  # weight share above which a clamped tail is fatal
 
 
-def _explosive_nodes(c_p: float, c_q: float, p: GridDensity, q: GridDensity):
-    mask = None
-    if c_p < 0:
-        mask = p.floored.copy()
-    if c_q < 0:
-        mask = q.floored.copy() if mask is None else (mask | q.floored)
-    return mask
+def _power_lse(c_p: float, c_q: float, p: GridDensity, q: GridDensity,
+               log_w: np.ndarray, term: str) -> tuple[float, np.ndarray]:
+    """log I(p^c_p q^c_q) and the normalized weights w p^c_p q^c_q / I.
 
-
-def _power_expo(c_p: float, c_q: float, p: GridDensity, q: GridDensity,
-                log_w: np.ndarray) -> np.ndarray:
-    expo = log_w.copy()
+    One exponentiation serves both.  Raises EvaluationError when every
+    node is at the floor, or when log-floor nodes under a negative
+    exponent carry most of the stabilized sum.
+    """
+    expo = log_w
     if c_p != 0.0:
         expo = expo + c_p * p.log_values
     if c_q != 0.0:
         expo = expo + c_q * q.log_values
-    return expo
-
-
-def _log_power_integral(c_p: float, c_q: float, p: GridDensity, q: GridDensity,
-                        log_w: np.ndarray, term: str) -> float:
-    """log I(p^c_p q^c_q) with floored-node dominance check."""
-    expo = _power_expo(c_p, c_q, p, q, log_w)
     m = np.max(expo)
     if m == -np.inf:
         raise EvaluationError(f"{term}: no mass to integrate (all nodes at the floor)")
     z = np.exp(expo - m)
     total = z.sum()
-    mask = _explosive_nodes(c_p, c_q, p, q)
-    if mask is not None and mask.any() and z[mask].sum() > _FLOOR_DOMINANCE * total:
-        raise EvaluationError(
-            f"{term}: stabilized sum dominated by log-floor nodes "
-            f"(negative exponent on a clamped tail)")
-    return float(m + np.log(total))
-
-
-def _power_softmax(c_p: float, c_q: float, p: GridDensity, q: GridDensity,
-                   log_w: np.ndarray, term: str) -> np.ndarray:
-    """Normalized weights proportional to w * p^c_p * q^c_q."""
-    expo = _power_expo(c_p, c_q, p, q, log_w)
-    m = np.max(expo)
-    if m == -np.inf:
-        raise EvaluationError(f"{term}: no mass to integrate (all nodes at the floor)")
-    z = np.exp(expo - m)
-    total = z.sum()
-    mask = _explosive_nodes(c_p, c_q, p, q)
-    if mask is not None and mask.any() and z[mask].sum() > _FLOOR_DOMINANCE * total:
-        raise EvaluationError(
-            f"{term}: stabilized sum dominated by log-floor nodes "
-            f"(negative exponent on a clamped tail)")
-    return z / total
+    if c_p < 0 or c_q < 0:
+        explosive = ((c_p < 0) & p.floored) | ((c_q < 0) & q.floored)
+        if z[explosive].sum() > _FLOOR_DOMINANCE * total:
+            raise EvaluationError(
+                f"{term}: stabilized sum dominated by log-floor nodes "
+                f"(negative exponent on a clamped tail)")
+    return float(m + np.log(total)), z / total
 
 
 def _require_shared_grid(p: GridDensity, q: GridDensity):
@@ -326,24 +300,22 @@ def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
     region = classify_region(params)
 
     if region is Region.GENERIC:
-        t_p = _log_power_integral(lam, 0.0, p, q, log_w, "first-density power term")
-        t_q = _log_power_integral(0.0, lam, p, q, log_w, "second-density power term")
-        t_c = _log_power_integral(a, b, p, q, log_w, "cross term")
+        t_p = _power_lse(lam, 0.0, p, q, log_w, "first-density power term")[0]
+        t_q = _power_lse(0.0, lam, p, q, log_w, "second-density power term")[0]
+        t_c = _power_lse(a, b, p, q, log_w, "cross term")[0]
         value = t_p / (b * lam) + t_q / (a * lam) - t_c / (a * b)
     elif region is Region.SUM_ZERO:
         d = p.log_values - q.log_values
-        t = _log_power_integral(a, -a, p, q, log_w, "ratio power term")
+        t = _power_lse(a, -a, p, q, log_w, "ratio power term")[0]
         value = (t - a * float(np.dot(w, d))) / (a * a)
     elif region is Region.BETA_ZERO:
-        t_q = _log_power_integral(0.0, a, p, q, log_w, "second-density power term")
-        t_p = _log_power_integral(a, 0.0, p, q, log_w, "first-density power term")
-        s = _power_softmax(a, 0.0, p, q, log_w, "tilted log-ratio term")
+        t_q = _power_lse(0.0, a, p, q, log_w, "second-density power term")[0]
+        t_p, s = _power_lse(a, 0.0, p, q, log_w, "first-density power term")
         d = p.log_values - q.log_values
         value = (t_q - t_p) / (a * a) + float(np.dot(s, d)) / a
     elif region is Region.ALPHA_ZERO:
-        t_p = _log_power_integral(b, 0.0, p, q, log_w, "first-density power term")
-        t_q = _log_power_integral(0.0, b, p, q, log_w, "second-density power term")
-        s = _power_softmax(0.0, b, p, q, log_w, "tilted log-ratio term")
+        t_p = _power_lse(b, 0.0, p, q, log_w, "first-density power term")[0]
+        t_q, s = _power_lse(0.0, b, p, q, log_w, "second-density power term")
         d = q.log_values - p.log_values
         value = (t_p - t_q) / (b * b) + float(np.dot(s, d)) / b
     else:  # BOTH_ZERO
@@ -385,8 +357,7 @@ def eval_renyi(alpha: float, p: GridDensity, q: GridDensity) -> float:
     if alpha in (0.0, 1.0):
         raise DomainError("Renyi order must avoid {0, 1}")
     _require_shared_grid(p, q)
-    t = _log_power_integral(alpha, 1.0 - alpha, p, q, _dx_log_weights(p),
-                            "Renyi cross term")
+    t = _power_lse(alpha, 1.0 - alpha, p, q, _dx_log_weights(p), "Renyi cross term")[0]
     return t / (alpha - 1.0)
 
 
@@ -396,23 +367,23 @@ def eval_gamma(beta: float, p: GridDensity, q: GridDensity) -> float:
         raise DomainError("gamma order must avoid {0, -1}")
     _require_shared_grid(p, q)
     log_w = _dx_log_weights(p)
-    t_p = _log_power_integral(beta + 1.0, 0.0, p, q, log_w, "gamma p-power term")
-    t_q = _log_power_integral(0.0, beta + 1.0, p, q, log_w, "gamma q-power term")
-    t_c = _log_power_integral(1.0, beta, p, q, log_w, "gamma cross term")
+    t_p = _power_lse(beta + 1.0, 0.0, p, q, log_w, "gamma p-power term")[0]
+    t_q = _power_lse(0.0, beta + 1.0, p, q, log_w, "gamma q-power term")[0]
+    t_c = _power_lse(1.0, beta, p, q, log_w, "gamma cross term")[0]
     return t_p / (beta * (beta + 1.0)) + t_q / (beta + 1.0) - t_c / beta
 
 
 def eval_hellinger(p: GridDensity, q: GridDensity) -> float:
     """Squared Hellinger-type distance 1 - integral of sqrt(p q)."""
     _require_shared_grid(p, q)
-    t = _log_power_integral(0.5, 0.5, p, q, _dx_log_weights(p), "Hellinger affinity")
+    t = _power_lse(0.5, 0.5, p, q, _dx_log_weights(p), "Hellinger affinity")[0]
     return 1.0 - math.exp(t)
 
 
 def eval_chisq(p: GridDensity, q: GridDensity) -> float:
     """Pearson chi-square divergence: integral of p^2/q, minus one."""
     _require_shared_grid(p, q)
-    t = _log_power_integral(2.0, -1.0, p, q, _dx_log_weights(p), "chi-square term")
+    t = _power_lse(2.0, -1.0, p, q, _dx_log_weights(p), "chi-square term")[0]
     return math.exp(t) - 1.0
 
 

@@ -148,11 +148,18 @@ def load_csv(path, target_column: str) -> Dataset:
             if len(row) != len(header):
                 raise CSVFormatError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
                 bad = next(i for i, c in enumerate(row) if not _is_number(c))
                 raise CSVFormatError(
                     f"{path}: non-numeric cell at row {r}, column {header[bad]!r}") from None
+            # float() accepts "nan" and "inf"; either would poison every fit
+            bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise CSVFormatError(
+                    f"{path}: non-finite cell {row[bad].strip()!r} at row {r}, "
+                    f"column {header[bad]!r}")
+            rows.append(values)
     if not rows:
         raise CSVFormatError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)

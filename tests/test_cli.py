@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from sabvi.cli import main
+from sabvi.divergence import gaussian_log_pdf
 from sabvi.experiments import gen_nonlinear, save_csv
 
 
@@ -63,6 +66,13 @@ class TestDivergenceCommand:
                        "--p", json.dumps(spec), "--q", "gaussian:0,1",
                        "--out", tmp_path / "x") == 3
 
+    def test_single_grid_point_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("divergence", "--alpha", 1, "--beta", 0.5, "--p", "gaussian:0,1",
+                       "--q", "gaussian:1,1", "--grid-points", 1, "--out", out) == 2
+        assert "--grid-points must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_density_specs(self, tmp_path):
         out = tmp_path / "run"
         p = json.dumps({"kind": "gaussian", "mean": 0.0, "stddev": 1.0})
@@ -95,6 +105,38 @@ class TestFitDensityCommand:
     def test_renyi_requires_alpha(self, tmp_path):
         assert run_cli("fit-density", "--divergence", "renyi",
                        "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--grid-points", 1, "--grid-points must be at least 2"),
+        ("--max-iters", 0, "--max-iters must be at least 1"),
+        ("--learning-rate", 0, "--learning-rate must be positive"),
+    ])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        assert run_cli("fit-density", "--divergence", "kl", flag, value, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("--divergence", "sab", "--alpha", 1, "--beta", 0),
+        ("--divergence", "renyi", "--alpha", 1),
+        ("--divergence", "gamma", "--beta", -1),
+    ])
+    def test_limit_parameters_are_config_errors(self, tmp_path, capsys, args):
+        assert run_cli("fit-density", *args, "--out", tmp_path / "x") == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_floored_tail_mid_fit_is_numerical_error(self, tmp_path):
+        # the Gaussian overshoots onto a clamped region of the target, where
+        # the negative exponent of the sAB cross term is not evaluable
+        x = np.linspace(-4.0, 4.0, 1601)
+        log_values = np.where(x > 1.2, -700.0, gaussian_log_pdf(x, 1.1, 0.3))
+        target = json.dumps({"kind": "grid", "lo": -4.0, "hi": 4.0, "n": 1601,
+                             "log_values": log_values.tolist()})
+        assert run_cli("fit-density", "--divergence", "sab", "--alpha", 1.5,
+                       "--beta", -0.5, "--target", target, "--init-mu", -1.0,
+                       "--init-log-sigma", math.log(0.1), "--learning-rate", 2.0,
+                       "--max-iters", 50, "--out", tmp_path / "x") == 3
 
 
 class TestGradcheckCommand:
@@ -188,6 +230,14 @@ class TestUciCommand:
 
     def test_missing_csv_is_config_error(self, tmp_path):
         assert run_cli("uci", "--out", tmp_path / "x") == 2
+
+    def test_nan_cell_is_config_error(self, tmp_path, csv_path, capsys):
+        lines = csv_path.read_text().splitlines()
+        lines[5] = ",".join(["nan"] + lines[5].split(",")[1:])
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert run_cli("uci", "--csv", csv_path, "--grid-step", 2.0, "--k1", 2, "--k2", 2,
+                       "--steps", 2, "--mc-samples", 2, "--out", tmp_path / "x") == 2
+        assert "non-finite cell 'nan' at row 6" in capsys.readouterr().err
 
     def test_config_echo_reproduces_outputs(self, tmp_path, csv_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

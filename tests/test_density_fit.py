@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sabvi.density_fit import (
+    FitEvaluator,
     FitObjective,
     FitResult,
     Gaussian1D,
@@ -113,6 +116,69 @@ class TestGradients:
             FitObjective.sab(1.0, 0.0)
         with pytest.raises(DomainError):
             FitObjective.sab(0.5, -0.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FitObjective.renyi(0.0), lambda: FitObjective.renyi(1.0),
+        lambda: FitObjective.renyi(math.nan), lambda: FitObjective.gamma(0.0),
+        lambda: FitObjective.gamma(-1.0), lambda: FitObjective.gamma(math.inf)])
+    def test_renyi_and_gamma_reject_excluded_orders(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+
+_ORDER = st.one_of(st.floats(0.2, 2.5), st.floats(-2.5, -0.2))
+
+
+@st.composite
+def _objectives(draw):
+    """Fit objectives of every kind, with orders away from excluded values."""
+    kind = draw(st.sampled_from(["kl", "renyi", "gamma", "sab"]))
+    if kind == "kl":
+        return FitObjective.kl()
+    if kind == "renyi":
+        return FitObjective.renyi(draw(_ORDER.filter(lambda a: abs(a - 1.0) >= 0.2)))
+    if kind == "gamma":
+        return FitObjective.gamma(draw(_ORDER.filter(lambda b: abs(b + 1.0) >= 0.2)))
+    a = draw(_ORDER)
+    return FitObjective.sab(a, draw(_ORDER.filter(lambda b: abs(a + b) >= 0.2)))
+
+
+_GAUSSIANS = st.builds(Gaussian1D, st.floats(-3.0, 3.0), st.floats(-3.0, 0.7))
+
+
+def _fused_checked_against_reference(objective, q, p):
+    """The fused (value, grad) after checking it against divergence_value:
+    both raise EvaluationError (then None) or the values agree."""
+    try:
+        reference = divergence_value(objective, q, p)
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            FitEvaluator(objective, p).value_and_grad(q)
+        return None
+    value, grad = FitEvaluator(objective, p).value_and_grad(q)
+    assert math.isclose(value, reference, rel_tol=1e-12, abs_tol=1e-15)
+    return value, grad
+
+
+class TestFusedEvaluator:
+    """The fused fit step against the independent divergence_value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(objective=_objectives(), q=_GAUSSIANS)
+    def test_value_matches_reference_and_grad_is_analytic_gradient(self, objective, q):
+        p = SkewMixtureTarget.default().tabulate(801)
+        fused = _fused_checked_against_reference(objective, q, p)
+        if fused is not None:
+            np.testing.assert_array_equal(fused[1], analytic_gradient(objective, q, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(objective=_objectives(), q=_GAUSSIANS)
+    @example(objective=FitObjective.sab(1.5, -0.5), q=Gaussian1D(2.5, math.log(0.3)))
+    @example(objective=FitObjective.sab(1.5, 0.5), q=Gaussian1D(1.0, math.log(0.3)))
+    def test_floored_target_raises_exactly_when_reference_does(self, objective, q):
+        x = np.linspace(-4.0, 4.0, 801)
+        log_values = np.where(x > 1.2, -700.0, gaussian_log_pdf(x, 1.1, 0.3))
+        _fused_checked_against_reference(objective, q, GridDensity(-4.0, 4.0, log_values))
 
 
 class TestFiniteDifferenceOracle:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sabvi.divergence import (
     DivergenceParams,
@@ -231,6 +233,24 @@ class TestGaussianOracle:
             gaussian_oracle("nope", 0, 1, 1, 1)
 
 
+@st.composite
+def _plane_points(draw):
+    """(alpha, beta) in each region of the plane, with exact zeros and a + b = 0."""
+    order = st.one_of(st.floats(0.2, 2.5), st.floats(-2.5, -0.2))
+    region = draw(st.sampled_from(Region))
+    if region is Region.BOTH_ZERO:
+        return DivergenceParams(0.0, 0.0)
+    if region is Region.ALPHA_ZERO:
+        return DivergenceParams(0.0, draw(order))
+    if region is Region.BETA_ZERO:
+        return DivergenceParams(draw(order), 0.0)
+    a = draw(order)
+    if region is Region.SUM_ZERO:
+        return DivergenceParams(a, -a)
+    # a generic point close to a + b = 0 divides rounding error by a + b
+    return DivergenceParams(a, draw(order.filter(lambda b: abs(a + b) >= 0.2)))
+
+
 class TestStructuralProperties:
     def test_nonnegativity(self):
         rng = np.random.default_rng(101)
@@ -251,6 +271,15 @@ class TestStructuralProperties:
                     lc = math.log(c)
                     assert abs(eval_sab(params, p.with_log_offset(lc), q) - base) < 1e-8
                     assert abs(eval_sab(params, p, q.with_log_offset(lc)) - base) < 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=_plane_points(), seed=st.integers(0, 2**32 - 1),
+           log_c_p=st.floats(-30.0, 30.0), log_c_q=st.floats(-30.0, 30.0))
+    def test_log_offsets_leave_every_region_unchanged(self, params, seed, log_c_p, log_c_q):
+        _, p, q = sample_gaussian_pair(np.random.default_rng(seed), n=801)
+        base = eval_sab(params, p, q)
+        shifted = eval_sab(params, p.with_log_offset(log_c_p), q.with_log_offset(log_c_q))
+        assert abs(shifted - base) <= 1e-11 * max(1.0, abs(base))
 
     def test_measure_rescaling_invariance_generic(self, rng):
         for _ in range(10):

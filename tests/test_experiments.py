@@ -75,6 +75,14 @@ class TestCSVAndNormalization:
         with pytest.raises(CSVFormatError, match=r"row 3, column 'b'"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("cell,column", [("nan", "b"), ("inf", "y"), (" -Infinity", "a")])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell, column):
+        path = tmp_path / "bad.csv"
+        row = {"a": "1.0", "b": "2.0", "y": "3.0", column: cell}
+        path.write_text(f"a,b,y\n1.0,2.0,3.0\n{row['a']},{row['b']},{row['y']}\n")
+        with pytest.raises(CSVFormatError, match=rf"non-finite .* row 3, column '{column}'"):
+            load_csv(path, "y")
+
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
