@@ -18,7 +18,6 @@ from .divergence import (
     eval_sab,
     gaussian_oracle,
     gaussian_pair,
-    log_integral,
 )
 from .density_fit import (
     FitEvaluator,
@@ -38,8 +37,6 @@ from .vi import (
     TrainReport,
     TrainingDiverged,
     UnsupportedRegionError,
-    kl_elbo_objective,
-    mc_objective,
     sample_reparam,
     train,
 )
@@ -51,7 +48,6 @@ from .models import (
     blr_exact_posterior,
     check_log_joint_gradient,
     model_from_config,
-    model_to_config,
     predict,
 )
 from .experiments import (

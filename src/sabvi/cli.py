@@ -43,7 +43,7 @@ from .experiments import (
     normalize,
     run_toy_experiment,
 )
-from .models import BNNModel, model_from_config, model_to_config
+from .models import BNNModel, model_from_config
 from .optim import AdamConfig
 from .vi import TrainingDiverged, UnsupportedRegionError
 
@@ -76,9 +76,13 @@ def _resolve_params(config) -> DivergenceParams:
         raise ConfigError("beta is required")
     if (alpha is None) == (lam is None):
         raise ConfigError("give exactly one of --alpha or --lambda")
-    if alpha is None:
-        return DivergenceParams.from_lambda(lam, beta)
-    return DivergenceParams(alpha, beta)
+    # non-finite parameters are a bad request, not a numerical failure
+    try:
+        if alpha is None:
+            return DivergenceParams.from_lambda(lam, beta)
+        return DivergenceParams(alpha, beta)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +138,8 @@ def cmd_fit_density(config: dict, outdir: Path) -> int:
 
     init = None
     if config.get("init_mu") is not None:
-        init = Gaussian1D(config["init_mu"], config.get("init_log_sigma", 0.0))
+        log_sigma = config.get("init_log_sigma")
+        init = Gaussian1D(config["init_mu"], 0.0 if log_sigma is None else log_sigma)
     opt = AdamConfig(learning_rate=config["learning_rate"])
     result = fit_gaussian(objective, target, init=init, opt=opt,
                           max_iters=config["max_iters"])
@@ -241,7 +246,7 @@ def cmd_uci(config: dict, outdir: Path) -> int:
         cv_cfg = CVRunConfig(hidden=model.layer_sizes[1:-1],
                              mc_samples=cv_cfg.mc_samples, steps=cv_cfg.steps,
                              learning_rate=cv_cfg.learning_rate,
-                             noise_sigma=math.exp(model.noise_log_sigma),
+                             noise_sigma=model.noise_sigma,
                              learn_noise=model.learn_noise)
     try:
         report = nested_cv(dataset, grid, k1=k1, k2=k2, config=cv_cfg,
@@ -251,7 +256,7 @@ def cmd_uci(config: dict, outdir: Path) -> int:
         raise
     payload = report.to_dict()
     _dump_json(outdir / "reports.json", payload.pop("train_reports"))
-    payload["model"] = model_to_config(cv_cfg.build_model(dataset.dim))
+    payload["model"] = cv_cfg.build_model(dataset.dim).to_config()
     _dump_json(outdir / "results.json", payload)
     _write_csv(outdir / "cells.csv",
                ["alpha", "beta", "lambda", "val_rmse_mean", "val_rmse_std", "failures"],
@@ -396,6 +401,13 @@ def _validate(config: dict) -> None:
     rate = config.get("learning_rate")
     if rate is not None and not (math.isfinite(rate) and rate > 0):
         raise ConfigError(f"--learning-rate must be positive and finite, got {rate}")
+    if cmd == "fit-density":
+        for key in ("init_mu", "init_log_sigma"):
+            value = config.get(key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
+        if config.get("init_log_sigma") is not None and config.get("init_mu") is None:
+            raise ConfigError("--init-log-sigma needs --init-mu")
     if cmd == "divergence" and (not config.get("p") or not config.get("q")):
         raise ConfigError("divergence needs --p and --q density specs")
     if cmd == "uci" and not config.get("csv"):

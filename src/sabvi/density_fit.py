@@ -9,8 +9,8 @@ overflow:
 
     KL(q, p):      sum of w q (log q - log p + 1) g
     Renyi_a(q, p): a/(a-1) * E[g] under weights ~ w q^a p^(1-a)
-    gamma_b(q, p): ( E[g] under w q^(b+1) - E[g] under w q p^b ) / b
     sAB(q, p):     ( E[g] under w q^(a+b)  - E[g] under w q^a p^b ) / b
+    gamma_b(q, p): the sAB line at a = 1
 
 These weights are the softmaxes of the power terms the divergence value
 is made of, so a fit step is one fused evaluation (`FitEvaluator`) that
@@ -169,7 +169,7 @@ class FitObjective:
     """Which divergence the fit minimizes, with its order parameters."""
 
     kind: str  # "kl" | "renyi" | "gamma" | "sab"
-    alpha: float | None = None
+    alpha: float | None = None  # gamma(b) is the sAB point (1, b), so alpha = 1
     beta: float | None = None
 
     def __post_init__(self):
@@ -184,6 +184,7 @@ class FitObjective:
         elif self.kind == "gamma":
             if not math.isfinite(self.beta) or self.beta in (0.0, -1.0):
                 raise DomainError(f"gamma order must be finite and avoid {{0, -1}}, got {self.beta}")
+            object.__setattr__(self, "alpha", 1.0)
         elif self.kind != "kl":
             raise ValueError(f"unknown fit objective kind {self.kind!r}")
 
@@ -238,29 +239,28 @@ def _dlogq_dphi(q: Gaussian1D, x: np.ndarray) -> np.ndarray:
 class FitEvaluator:
     """Fused value and gradient of one objective against one fixed target.
 
-    Built once per fit: keeps the grid, the quadrature log weights and the
-    target-only power term (log I(p^(a+b)) for sAB, log I(p^(b+1)) for
-    gamma).  Each call tabulates q once and exponentiates
-    each q-dependent power term once; the term's log integral goes into the
-    value and its softmax weights into the gradient.  Values, floored-tail
-    checks and error messages are those of the `eval_*` functions behind
-    `divergence_value`.
+    Built once per fit: keeps the grid, the quadrature log weights and, for
+    the sAB branch, the target-only power term log I(p^(a+b)).  Gamma fits
+    take that branch at (1, b) on the normalized measure; the sAB value
+    does not depend on the measure's scale.  Each call tabulates q once and
+    exponentiates each q-dependent power term once; the term's log
+    integral goes into the value and its softmax weights into the
+    gradient.  Values and floored-tail checks are those of the `eval_*`
+    functions behind `divergence_value`.
     """
 
     def __init__(self, objective: FitObjective, p: GridDensity):
         self.objective = objective
         self.p = p
         self.x = p.x
-        measure = QuadratureMeasure.trapezoid(p, normalized=objective.kind == "sab")
+        sab = objective.kind not in ("kl", "renyi")
+        measure = QuadratureMeasure.trapezoid(p, normalized=sab)
         self.w = measure.weights
         self.log_w = measure.log_weights
         # q enters the target-only term with exponent 0, so p fills both slots
-        if objective.kind == "sab":
+        if sab:
             self.t_target = _power_lse(0.0, objective.alpha + objective.beta, p, p,
                                        self.log_w, "second-density power term")[0]
-        elif objective.kind == "gamma":
-            self.t_target = _power_lse(0.0, objective.beta + 1.0, p, p,
-                                       self.log_w, "gamma q-power term")[0]
 
     def value_and_grad(self, q: Gaussian1D) -> tuple[float, np.ndarray]:
         """(divergence_value, analytic_gradient) at q, in one pass."""
@@ -276,11 +276,6 @@ class FitEvaluator:
         if kind == "renyi":
             t, s = _power_lse(a, 1.0 - a, qd, p, log_w, "Renyi cross term")
             return t / (a - 1.0), (a / (a - 1.0)) * (g @ s)
-        if kind == "gamma":
-            t_q, s_q = _power_lse(b + 1.0, 0.0, qd, p, log_w, "gamma p-power term")
-            t_c, s_c = _power_lse(1.0, b, qd, p, log_w, "gamma cross term")
-            value = t_q / (b * (b + 1.0)) + self.t_target / (b + 1.0) - t_c / b
-            return value, (g @ s_q - g @ s_c) / b
         lam = a + b
         t_q, s_q = _power_lse(lam, 0.0, qd, p, log_w, "first-density power term")
         t_c, s_c = _power_lse(a, b, qd, p, log_w, "cross term")

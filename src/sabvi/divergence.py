@@ -216,22 +216,6 @@ def gaussian_pair(mu1: float, s1: float, mu2: float, s2: float,
             GridDensity.gaussian(mu2, s2, lo, hi, n))
 
 
-def log_integral(log_f: np.ndarray, measure: QuadratureMeasure) -> float:
-    """log of the integral of exp(log_f) against the measure, via LSE.
-
-    Returns -inf when everything is at the representation floor (no
-    finite mass to integrate).
-    """
-    log_f = np.asarray(log_f, dtype=float)
-    if log_f.shape != measure.weights.shape:
-        raise ValueError("log_f and measure weights must have matching length")
-    expo = log_f + measure.log_weights
-    m = np.max(expo)
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(expo - m))))
-
-
 # ---------------------------------------------------------------------------
 # stabilized power integrals with floored-tail accounting
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .density_fit import (
 )
 from .divergence import DivergenceParams, GridDensity
 from .models import BLRModel, BNNModel, XYData, check_log_joint_gradient
-from .vi import MeanFieldGaussian, mc_objective, mc_objective_with_grad
+from .vi import MeanFieldGaussian, mc_objective_with_grad
 
 FIT_GRAD_TOL = 1e-4
 MC_GRAD_TOL = 1e-4
@@ -133,14 +133,18 @@ def mc_gradient_suite(n_cases: int = 20, seed: int = 0, h: float = 1e-5,
                                 case, n_samples, dim)
         _, d_mu, d_ls = mc_objective_with_grad(params, q, model, data, noise)
         analytic = np.concatenate([d_mu, d_ls]) + perturb
+
+        def value(mu, log_sigma):
+            return mc_objective_with_grad(params, MeanFieldGaussian(mu, log_sigma),
+                                          model, data, noise)[0]
+
         fd = np.empty(2 * dim)
         for i in range(dim):
             e = np.zeros(dim)
             e[i] = h
-            fd[i] = (mc_objective(params, MeanFieldGaussian(q.mu + e, q.log_sigma), model, data, noise)
-                     - mc_objective(params, MeanFieldGaussian(q.mu - e, q.log_sigma), model, data, noise)) / (2 * h)
-            fd[dim + i] = (mc_objective(params, MeanFieldGaussian(q.mu, q.log_sigma + e), model, data, noise)
-                           - mc_objective(params, MeanFieldGaussian(q.mu, q.log_sigma - e), model, data, noise)) / (2 * h)
+            fd[i] = (value(q.mu + e, q.log_sigma) - value(q.mu - e, q.log_sigma)) / (2 * h)
+            fd[dim + i] = (value(q.mu, q.log_sigma + e)
+                           - value(q.mu, q.log_sigma - e)) / (2 * h)
         rows.append({"suite": "mc", "case": f"sab({params.alpha:.3f},{params.beta:.3f}) d={dim}",
                      "max_rel_err": _rel_err(analytic, fd), "threshold": MC_GRAD_TOL})
     return rows

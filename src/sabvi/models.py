@@ -127,6 +127,14 @@ class BLRModel:
     def grad_log_joint(self, theta: np.ndarray, data) -> np.ndarray:
         return self.log_joint_and_grad(np.asarray(theta)[None], data)[1][0]
 
+    def to_config(self) -> dict:
+        """The JSON-friendly dict `model_from_config` rebuilds this model from."""
+        return {"kind": "blr", "input_dim": self.input_dim,
+                "prior_w_sigma": self.prior_w_sigma,
+                "prior_b_sigma": self.prior_b_sigma,
+                "noise_sigma": self.noise_sigma,
+                "include_bias": self.include_bias}
+
 
 def blr_design_matrix(model: BLRModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
@@ -183,6 +191,10 @@ class BNNModel:
             raise ValueError("prior_sigma must be positive")
 
     @property
+    def noise_sigma(self) -> float:
+        return math.exp(self.noise_log_sigma)
+
+    @property
     def dim(self) -> int:
         count = sum(n_out * n_in + n_out
                     for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
@@ -236,7 +248,7 @@ class BNNModel:
         if self.learn_noise:
             sigma = np.exp(thetas[:, -1])
         else:
-            sigma = np.full(k, math.exp(self.noise_log_sigma))
+            sigma = np.full(k, self.noise_sigma)
         weights, acts = self._forward(thetas, X)
         resid = y - acts[-1][:, :, 0]
         value += _gaussian_loglik(resid, sigma)
@@ -258,33 +270,17 @@ class BNNModel:
     def grad_log_joint(self, theta: np.ndarray, data) -> np.ndarray:
         return self.log_joint_and_grad(np.asarray(theta)[None], data)[1][0]
 
-
-def model_noise_sigma(model) -> float:
-    if isinstance(model, BLRModel):
-        return model.noise_sigma
-    if isinstance(model, BNNModel):
-        return math.exp(model.noise_log_sigma)
-    return float(getattr(model, "noise_sigma", 0.0))
+    def to_config(self) -> dict:
+        """The JSON-friendly dict `model_from_config` rebuilds this model from."""
+        return {"kind": "bnn", "layer_sizes": list(self.layer_sizes),
+                "prior_sigma": self.prior_sigma,
+                "noise_sigma": self.noise_sigma,
+                "learn_noise": self.learn_noise}
 
 
 # ---------------------------------------------------------------------------
 # model configuration format (JSON-friendly dicts)
 # ---------------------------------------------------------------------------
-
-
-def model_to_config(model) -> dict:
-    if isinstance(model, BLRModel):
-        return {"kind": "blr", "input_dim": model.input_dim,
-                "prior_w_sigma": model.prior_w_sigma,
-                "prior_b_sigma": model.prior_b_sigma,
-                "noise_sigma": model.noise_sigma,
-                "include_bias": model.include_bias}
-    if isinstance(model, BNNModel):
-        return {"kind": "bnn", "layer_sizes": list(model.layer_sizes),
-                "prior_sigma": model.prior_sigma,
-                "noise_sigma": math.exp(model.noise_log_sigma),
-                "learn_noise": model.learn_noise}
-    raise ValueError(f"cannot serialize model of type {type(model).__name__}")
 
 
 def model_from_config(config: dict):
@@ -339,8 +335,8 @@ def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
     outputs = np.stack([model.predict_f(theta, X_test) for theta in thetas])
     mean = outputs.mean(axis=0)
     var = outputs.var(axis=0)
-    noise = model_noise_sigma(model)
-    return PredictiveSummary(mean=mean, std=np.sqrt(var + noise**2), draws=draws)
+    return PredictiveSummary(mean=mean, std=np.sqrt(var + model.noise_sigma**2),
+                             draws=draws)
 
 
 # ---------------------------------------------------------------------------

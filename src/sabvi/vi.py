@@ -15,12 +15,19 @@ every a_k shifts term1 by lam c and term3 by beta c, which cancel exactly
 in the weighted sum: the estimator never needs the marginal likelihood.
 
 Gradients are exact derivatives of the estimator with the noise block held
-fixed: each term differentiates into a softmax-weighted average of
-per-sample exponent gradients.  One ``model.log_joint_and_grad`` call on
-the K x d sample rows gives every a_k and its gradient G_k, so that
-d a_k/d mu = G_k and d a_k/d log sigma = G_k * sigma * eps_k; b_k depends
-on the variational parameters only through -sum(log sigma) once
-reparameterized (d b_k/d mu = 0, d b_k/d log sigma_i = -1).
+fixed.  One ``model.log_joint_and_grad`` call on the K x d sample rows
+gives every a_k and its gradient G_k, so that d a_k/d mu = G_k and
+d a_k/d log sigma = G_k * sigma * eps_k; b_k depends on the variational
+parameters only through -sum(log sigma) once reparameterized.  Each term
+differentiates into a softmax-weighted average, and with s1, s3 the
+softmax weights of terms 1 and 3 the whole gradient is one weight vector
+
+    w = (s1 - s3) / alpha,   d mu = w @ G,   d log sigma = w @ (G sigma eps)
+
+a difference of two tilted expectations, as in the quadrature fits.  Term
+2 depends on the parameters only through the -sum(log sigma) in b_k, and
+the three -sum(log sigma) contributions add up to
+(alpha + beta - lam) / (alpha beta lam) = 0 per coordinate.
 
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
@@ -147,75 +154,41 @@ def _lse(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _mc_terms(params: DivergenceParams, a: np.ndarray, b: np.ndarray):
+    """The estimator value and its gradient weights (s1 - s3) / alpha."""
     lam = params.lam
     log_k = math.log(a.size)
     e1 = lam * a - b
     e2 = (lam - 1.0) * b
     e3 = (params.alpha - 1.0) * b + params.beta * a
-    (t1, s1), (t2, s2), (t3, s3) = _lse(e1), _lse(e2), _lse(e3)
+    (t1, s1), (t2, _), (t3, s3) = _lse(e1), _lse(e2), _lse(e3)
     value = ((t1 - log_k) / (params.alpha * lam)
              + (t2 - log_k) / (params.beta * lam)
              - (t3 - log_k) / (params.alpha * params.beta))
-    return value, (s1, s2, s3)
-
-
-def mc_objective(params: DivergenceParams, q: MeanFieldGaussian, model, data,
-                 noise: NoiseBlock) -> float:
-    """K-sample estimate of the divergence from q to the posterior."""
-    _require_generic(params)
-    if model.dim != q.dim:
-        raise ValueError("model dim does not match q dim")
-    a, _ = _log_joints(q, model, data, noise)
-    b = _log_q_values(q, noise)
-    value, _ = _mc_terms(params, a, b)
-    return value
+    return value, (s1 - s3) / params.alpha
 
 
 def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
                            model, data, noise: NoiseBlock, strict: bool = True):
+    """K-sample estimate of the divergence from q to the posterior, with its
+    gradient: (value, d/d mu, d/d log sigma)."""
     _require_generic(params)
     if model.dim != q.dim:
         raise ValueError("model dim does not match q dim")
     a, g = _log_joints(q, model, data, noise, strict=strict)
-    b = _log_q_values(q, noise)
-    value, (s1, s2, s3) = _mc_terms(params, a, b)
-
-    alpha, beta, lam = params.alpha, params.beta, params.lam
-    sig_eps = q.sigma[None, :] * noise.epsilons
-    da_mu = g                      # K x d: d a_k / d mu
-    da_ls = g * sig_eps            # K x d: d a_k / d log sigma
-    ones = np.ones(q.dim)
-
-    # d b_k / d mu = 0 and d b_k / d log sigma = -1 per coordinate.
-    t1_mu = lam * (s1 @ da_mu)
-    t1_ls = lam * (s1 @ da_ls) + ones
-    t2_ls = (lam - 1.0) * -ones
-    t3_mu = beta * (s3 @ da_mu)
-    t3_ls = beta * (s3 @ da_ls) - (alpha - 1.0) * ones
-
-    d_mu = t1_mu / (alpha * lam) - t3_mu / (alpha * beta)
-    d_ls = (t1_ls / (alpha * lam) + t2_ls / (beta * lam)
-            - t3_ls / (alpha * beta))
-    return value, d_mu, d_ls
-
-
-def kl_elbo_objective(q: MeanFieldGaussian, model, data, noise: NoiseBlock) -> float:
-    """Reparameterized negative ELBO, the (alpha, beta) = (1, 0) path."""
-    value, _, _ = kl_elbo_with_grad(q, model, data, noise)
-    return value
+    value, w = _mc_terms(params, a, _log_q_values(q, noise))
+    return value, w @ g, w @ (g * (q.sigma[None, :] * noise.epsilons))
 
 
 def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: NoiseBlock,
                       strict: bool = True):
+    """Reparameterized negative ELBO, the (alpha, beta) = (1, 0) path, with
+    its gradient."""
     if model.dim != q.dim:
         raise ValueError("model dim does not match q dim")
     a, g = _log_joints(q, model, data, noise, strict=strict)
-    b = _log_q_values(q, noise)
-    k = noise.n_samples
-    value = float(np.mean(b - a))
-    sig_eps = q.sigma[None, :] * noise.epsilons
+    value = float(np.mean(_log_q_values(q, noise) - a))
     d_mu = -g.mean(axis=0)
-    d_ls = -1.0 - (g * sig_eps).mean(axis=0)
+    d_ls = -1.0 - (g * (q.sigma[None, :] * noise.epsilons)).mean(axis=0)
     return value, d_mu, d_ls
 
 

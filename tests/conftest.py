@@ -7,24 +7,24 @@ from sabvi.divergence import gaussian_pair
 
 
 class GaussianJointModel:
-    """1-D model whose 'joint' is a fixed (optionally unnormalized) Gaussian.
+    """Model whose 'joint' is a fixed (optionally unnormalized) isotropic
+    Gaussian in `dim` coordinates.
 
     Used wherever a test needs an exactly known target density for the
     sampling estimator.
     """
 
-    dim = 1
-
-    def __init__(self, mean: float, sigma: float, log_scale: float = 0.0):
+    def __init__(self, mean: float, sigma: float, log_scale: float = 0.0, dim: int = 1):
         self.mean = mean
         self.sigma = sigma
         self.log_scale = log_scale
+        self.dim = dim
 
     def log_joint_and_grad(self, thetas, data):
-        z = (thetas[:, 0] - self.mean) / self.sigma
-        a = (-0.5 * z * z - math.log(self.sigma)
-             - 0.5 * math.log(2.0 * math.pi) + self.log_scale)
-        return a, (-z / self.sigma)[:, None]
+        z = (thetas - self.mean) / self.sigma
+        a = np.sum(-0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2.0 * math.pi),
+                   axis=1) + self.log_scale
+        return a, -z / self.sigma
 
 
 def sample_gaussian_pair(rng, span=10.0, n=4001, mu_range=2.0, sigma_lo=0.7, sigma_hi=1.6):

@@ -44,7 +44,7 @@ from sabvi.experiments import (
 )
 from sabvi.gradcheck import run_suites
 from sabvi.models import BLRModel, XYData, blr_exact_posterior
-from sabvi.vi import MeanFieldGaussian, mc_objective
+from sabvi.vi import MeanFieldGaussian, mc_objective_with_grad
 
 from conftest import sample_gaussian_pair
 
@@ -246,13 +246,13 @@ def test_criterion_05_conjugate_equivalence():
     params = DivergenceParams.from_lambda(1.8, 0.8)
 
     q_star = MeanFieldGaussian(np.array([m]), np.array([math.log(s)]))
-    at_opt = np.array([mc_objective(params, q_star, model, data,
-                                    sabrng.noise_block(11, 7, r, 10_000, 1))
+    at_opt = np.array([mc_objective_with_grad(params, q_star, model, data,
+                                              sabrng.noise_block(11, 7, r, 10_000, 1))[0]
                        for r in range(40)])
 
     q_off = MeanFieldGaussian(np.array([m + 0.5 * s]), np.array([math.log(1.6 * s)]))
-    off_opt = np.array([mc_objective(params, q_off, model, data,
-                                     sabrng.noise_block(13, 7, r, 10_000, 1))
+    off_opt = np.array([mc_objective_with_grad(params, q_off, model, data,
+                                               sabrng.noise_block(13, 7, r, 10_000, 1))[0]
                         for r in range(40)])
     lo, hi = m - 16 * s, m + 16 * s
     quad = eval_sab(params, GridDensity.gaussian(m + 0.5 * s, 1.6 * s, lo, hi, 4001),
@@ -279,9 +279,9 @@ def test_criterion_06_mc_sample_size_property():
     big, small = [], []
     for r in range(2000):
         block = sabrng.noise_block(17, 6, r, 50, 1)
-        big.append(mc_objective(params, q_off, model, data, block))
-        small.append(mc_objective(params, q_off, model, data,
-                                  sabrng.NoiseBlock(block.epsilons[:5])))
+        big.append(mc_objective_with_grad(params, q_off, model, data, block)[0])
+        small.append(mc_objective_with_grad(params, q_off, model, data,
+                                            sabrng.NoiseBlock(block.epsilons[:5]))[0])
     big, small = np.array(big), np.array(small)
     se = math.sqrt(big.var(ddof=1) / big.size + small.var(ddof=1) / small.size)
     elapsed = time.time() - t0

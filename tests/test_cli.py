@@ -55,6 +55,13 @@ class TestDivergenceCommand:
                        "--p", "gaussian:0,1", "--q", "gaussian:1,1",
                        "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("params", [("--alpha", "nan", "--beta", 0.5),
+                                        ("--lambda", "inf", "--beta", 0.5)])
+    def test_non_finite_parameter_is_config_error(self, tmp_path, capsys, params):
+        assert run_cli("divergence", *params, "--p", "gaussian:0,1", "--q", "gaussian:1,1",
+                       "--out", tmp_path / "x") == 2
+        assert "config error: alpha and beta must be finite" in capsys.readouterr().err
+
     def test_missing_densities_is_config_error(self, tmp_path):
         assert run_cli("divergence", "--alpha", 1, "--beta", 0.5,
                        "--out", tmp_path / "x") == 2
@@ -125,6 +132,27 @@ class TestFitDensityCommand:
     def test_limit_parameters_are_config_errors(self, tmp_path, capsys, args):
         assert run_cli("fit-density", *args, "--out", tmp_path / "x") == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_init_mu_alone_starts_at_unit_sigma(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("fit-density", "--divergence", "kl", "--init-mu", 0.5,
+                       "--max-iters", 1, "--out", out) == 0
+        result = read_json(out / "results.json")
+        assert (result["mu"], result["log_sigma"]) == (0.5, 0.0)
+
+    @pytest.mark.parametrize("args,flag", [
+        (("--init-mu", "nan"), "--init-mu"),
+        (("--init-mu", 0.5, "--init-log-sigma", "inf"), "--init-log-sigma"),
+    ])
+    def test_non_finite_init_is_config_error(self, tmp_path, capsys, args, flag):
+        assert run_cli("fit-density", "--divergence", "kl", *args,
+                       "--out", tmp_path / "x") == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
+    def test_init_log_sigma_needs_init_mu(self, tmp_path, capsys):
+        assert run_cli("fit-density", "--divergence", "kl", "--init-log-sigma", 0.3,
+                       "--out", tmp_path / "x") == 2
+        assert "--init-log-sigma needs --init-mu" in capsys.readouterr().err
 
     def test_floored_tail_mid_fit_is_numerical_error(self, tmp_path):
         # the Gaussian overshoots onto a clamped region of the target, where
@@ -214,13 +242,18 @@ class TestUciCommand:
     def test_model_config_file(self, tmp_path, csv_path):
         model_cfg = tmp_path / "model.json"
         model_cfg.write_text(json.dumps(
-            {"kind": "bnn", "layer_sizes": [3, 4, 1], "noise_sigma": 0.2}))
+            {"kind": "bnn", "layer_sizes": [3, 4, 1], "noise_sigma": 0.05}))
         out = tmp_path / "run"
         code = run_cli("uci", "--csv", csv_path, "--grid-step", 2.0, "--k1", 2,
                        "--k2", 2, "--steps", 5, "--mc-samples", 2,
                        "--model-config", model_cfg, "--out", out)
         assert code == 0
-        assert read_json(out / "results.json")["model"]["layer_sizes"] == [3, 4, 1]
+        model = read_json(out / "results.json")["model"]
+        assert model["layer_sizes"] == [3, 4, 1]
+        # 0.05 does not survive exp(log(.)); the entry keeps that rounding
+        assert json.dumps(model, sort_keys=True) == (
+            '{"kind": "bnn", "layer_sizes": [3, 4, 1], "learn_noise": false, '
+            '"noise_sigma": 0.05000000000000001, "prior_sigma": 1.0}')
 
     def test_model_config_dim_mismatch(self, tmp_path, csv_path):
         model_cfg = tmp_path / "model.json"

@@ -25,7 +25,6 @@ from sabvi.divergence import (
     gaussian_oracle,
     gaussian_pair,
     gaussian_power_log_integral,
-    log_integral,
 )
 
 from conftest import sample_gaussian_pair
@@ -85,37 +84,6 @@ class TestQuadratureMeasure:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             QuadratureMeasure(np.array([0.5, -0.5]))
-
-
-class TestLogIntegral:
-    def test_constant_one_integrates_to_zero(self):
-        d = GridDensity.gaussian(0.0, 1.0, -3.0, 3.0, 101)
-        m = QuadratureMeasure.trapezoid(d)
-        assert log_integral(np.zeros(101), m) == pytest.approx(0.0, abs=1e-14)
-
-    def test_normal_pdf_averaged_over_interval(self):
-        # the normalized measure averages over the interval, so the pdf
-        # integrates to 1/length; cross-checked against plain trapezoid
-        d = GridDensity.gaussian(0.0, 1.0, -10.0, 10.0, 4001)
-        m = QuadratureMeasure.trapezoid(d)
-        got = log_integral(d.log_values, m)
-        oracle = math.log(np.trapezoid(np.exp(d.log_values), d.x) / 20.0)
-        assert got == pytest.approx(oracle, abs=1e-12)
-        assert got == pytest.approx(math.log(1.0 / 20.0), abs=1e-6)
-
-    def test_point_mass(self):
-        w = np.zeros(11)
-        w[0] = 1.0
-        assert log_integral(np.zeros(11), QuadratureMeasure(w)) == pytest.approx(0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            log_integral(np.zeros(3), QuadratureMeasure(np.full(4, 0.25)))
-
-    def test_all_floored_gives_minus_inf(self):
-        w = np.zeros(4)
-        w[1] = 1.0
-        assert log_integral(np.full(4, -np.inf), QuadratureMeasure(np.full(4, 0.25))) == -np.inf
 
 
 class TestClosedFormAgreement:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from sabvi.models import (
     blr_exact_posterior,
     check_log_joint_gradient,
     model_from_config,
-    model_to_config,
     predict,
 )
 from sabvi.vi import MeanFieldGaussian
@@ -126,15 +126,28 @@ class TestModelConfig:
     def test_blr_roundtrip(self):
         model = BLRModel(input_dim=3, prior_w_sigma=0.8, noise_sigma=0.2,
                          include_bias=False)
-        assert model_from_config(model_to_config(model)) == model
+        assert model_from_config(model.to_config()) == model
 
     def test_bnn_roundtrip(self):
         model = BNNModel(layer_sizes=(4, 10, 1), noise_log_sigma=math.log(0.3),
                          learn_noise=True)
-        back = model_from_config(model_to_config(model))
+        back = model_from_config(model.to_config())
         assert back.layer_sizes == model.layer_sizes
         assert back.noise_log_sigma == pytest.approx(model.noise_log_sigma)
         assert back.learn_noise
+
+    @pytest.mark.parametrize("config,expected", [
+        ({"kind": "blr", "input_dim": 3, "prior_w_sigma": 0.8, "noise_sigma": 0.2,
+          "include_bias": False},
+         '{"include_bias": false, "input_dim": 3, "kind": "blr", "noise_sigma": 0.2, '
+         '"prior_b_sigma": 1.0, "prior_w_sigma": 0.8}'),
+        # 0.05 does not survive exp(log(.)): the serialized noise keeps that rounding
+        ({"kind": "bnn", "layer_sizes": [4, 10, 1], "noise_sigma": 0.05, "learn_noise": True},
+         '{"kind": "bnn", "layer_sizes": [4, 10, 1], "learn_noise": true, '
+         '"noise_sigma": 0.05000000000000001, "prior_sigma": 1.0}'),
+    ])
+    def test_serialized_config_is_unchanged(self, config, expected):
+        assert json.dumps(model_from_config(config).to_config(), sort_keys=True) == expected
 
     def test_defaults_fill_in(self):
         model = model_from_config({"kind": "bnn", "layer_sizes": [2, 5, 1]})

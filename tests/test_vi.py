@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sabvi import rng as sabrng
 from sabvi.divergence import DivergenceParams, GridDensity, eval_sab
@@ -13,9 +15,7 @@ from sabvi.vi import (
     MeanFieldGaussian,
     TrainingDiverged,
     UnsupportedRegionError,
-    kl_elbo_objective,
     kl_elbo_with_grad,
-    mc_objective,
     mc_objective_with_grad,
     sample_reparam,
     train,
@@ -73,14 +73,15 @@ class TestMCObjective:
         raw = (math.log(np.mean(pj**lam / qd)) / (al * lam)
                + math.log(np.mean(qd**(lam - 1))) / (be * lam)
                - math.log(np.mean(qd**(lam - 1) * (pj / qd)**be)) / (al * be))
-        assert mc_objective(params, q, model, None, noise) == pytest.approx(raw, abs=1e-12)
+        value = mc_objective_with_grad(params, q, model, None, noise)[0]
+        assert value == pytest.approx(raw, abs=1e-12)
 
     def test_near_zero_at_exact_posterior(self):
         model, data, m, s = conjugate_problem()
         q_star = MeanFieldGaussian(np.array([m]), np.array([math.log(s)]))
         params = DivergenceParams.from_lambda(1.8, 0.8)
-        values = [mc_objective(params, q_star, model, data,
-                               sabrng.noise_block(11, 7, r, 10_000, 1))
+        values = [mc_objective_with_grad(params, q_star, model, data,
+                                         sabrng.noise_block(11, 7, r, 10_000, 1))[0]
                   for r in range(10)]
         assert abs(np.mean(values)) < 0.02
 
@@ -88,22 +89,26 @@ class TestMCObjective:
         model, data, m, s = conjugate_problem()
         q_off = MeanFieldGaussian(np.array([m + s]), np.array([math.log(2 * s)]))
         params = DivergenceParams.from_lambda(1.8, 0.8)
-        values = [mc_objective(params, q_off, model, data,
-                               sabrng.noise_block(12, 7, r, 200, 1))
+        values = [mc_objective_with_grad(params, q_off, model, data,
+                                         sabrng.noise_block(12, 7, r, 200, 1))[0]
                   for r in range(100)]
         assert np.mean(values) > 0
 
-    def test_joint_rescaling_cancels_exactly(self):
-        q = MeanFieldGaussian(np.array([0.1]), np.array([-0.4]))
-        params = DivergenceParams(1.4, -0.3)
-        noise = sabrng.noise_block(4, 0, 0, 32, 1)
-        base_model = GaussianJointModel(0.5, 1.0)
-        scaled_model = GaussianJointModel(0.5, 1.0, log_scale=37.9)
-        v0 = mc_objective(params, q, base_model, None, noise)
-        v1 = mc_objective(params, q, scaled_model, None, noise)
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(-2.0, 3.0), beta=st.floats(-2.0, 3.0), k=st.integers(1, 64),
+           d=st.integers(1, 4), c=st.floats(-100.0, 100.0), seed=st.integers(0, 1000))
+    @example(alpha=1.4, beta=-0.3, k=32, d=1, c=37.9, seed=4)
+    def test_joint_rescaling_cancels_exactly(self, alpha, beta, k, d, c, seed):
+        # adding c to every log joint leaves the value and gradient unchanged
+        assume(min(abs(alpha), abs(beta), abs(alpha + beta)) >= 0.1)
+        params = DivergenceParams(alpha, beta)
+        q = MeanFieldGaussian(np.full(d, 0.1), np.full(d, -0.4))
+        noise = sabrng.noise_block(seed, 0, 0, k, d)
+        base_model = GaussianJointModel(0.5, 1.0, dim=d)
+        scaled_model = GaussianJointModel(0.5, 1.0, log_scale=c, dim=d)
+        v0, g0_mu, g0_ls = mc_objective_with_grad(params, q, base_model, None, noise)
+        v1, g1_mu, g1_ls = mc_objective_with_grad(params, q, scaled_model, None, noise)
         assert abs(v1 - v0) < 1e-10
-        _, g0_mu, g0_ls = mc_objective_with_grad(params, q, base_model, None, noise)
-        _, g1_mu, g1_ls = mc_objective_with_grad(params, q, scaled_model, None, noise)
         assert np.max(np.abs(g1_mu - g0_mu)) < 1e-10
         assert np.max(np.abs(g1_ls - g0_ls)) < 1e-10
 
@@ -112,7 +117,8 @@ class TestMCObjective:
         q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
         noise = sabrng.noise_block(0, 0, 0, 4, 1)
         with pytest.raises(UnsupportedRegionError, match="quadrature"):
-            mc_objective(DivergenceParams(alpha, beta), q, GaussianJointModel(0, 1), None, noise)
+            mc_objective_with_grad(DivergenceParams(alpha, beta), q, GaussianJointModel(0, 1),
+                                   None, noise)
 
     def test_non_finite_log_joint_is_a_model_error(self):
         class BadModel(GaussianJointModel):
@@ -123,14 +129,14 @@ class TestMCObjective:
         q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
         noise = sabrng.noise_block(0, 0, 0, 4, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            mc_objective(DivergenceParams(1.2, 0.4), q, BadModel(0, 1), None, noise)
+            mc_objective_with_grad(DivergenceParams(1.2, 0.4), q, BadModel(0, 1), None, noise)
 
     def test_mc_mean_approaches_quadrature(self):
         model = GaussianJointModel(0.6, 1.2)
         q = MeanFieldGaussian(np.array([0.2]), np.array([math.log(0.9)]))
         params = DivergenceParams(1.3, 0.4)
-        values = np.array([mc_objective(params, q, model, None,
-                                        sabrng.noise_block(9, 1, r, 20_000, 1))
+        values = np.array([mc_objective_with_grad(params, q, model, None,
+                                                  sabrng.noise_block(9, 1, r, 20_000, 1))[0]
                            for r in range(20)])
         qg = GridDensity.gaussian(0.2, 0.9, -12.0, 12.6, 8001)
         pg = GridDensity.gaussian(0.6, 1.2, -12.0, 12.6, 8001)
@@ -164,9 +170,9 @@ class TestSampleSizeOrdering:
         v50, v5 = [], []
         for r in range(400):
             block = sabrng.noise_block(17, 6, r, 50, 1)
-            v50.append(mc_objective(params, q_off, model, data, block))
-            v5.append(mc_objective(params, q_off, model, data,
-                                   sabrng.NoiseBlock(block.epsilons[:5])))
+            v50.append(mc_objective_with_grad(params, q_off, model, data, block)[0])
+            v5.append(mc_objective_with_grad(params, q_off, model, data,
+                                             sabrng.NoiseBlock(block.epsilons[:5]))[0])
         v50, v5 = np.array(v50), np.array(v5)
         se = math.sqrt(v50.var(ddof=1) / v50.size + v5.var(ddof=1) / v5.size)
         assert v50.mean() >= v5.mean() - 2 * se
@@ -178,7 +184,7 @@ class TestKLPath:
         data = XYData(np.zeros((0, 2)), np.zeros(0))
         q = MeanFieldGaussian(np.zeros(2), np.zeros(2))  # the prior itself
         noise = sabrng.noise_block(8, 0, 0, 64, 2)
-        assert kl_elbo_objective(q, model, data, noise) == pytest.approx(0.0, abs=1e-12)
+        assert kl_elbo_with_grad(q, model, data, noise)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         model, data, _, _ = conjugate_problem()
@@ -186,10 +192,12 @@ class TestKLPath:
         noise = sabrng.noise_block(14, 0, 0, 16, 1)
         _, d_mu, d_ls = kl_elbo_with_grad(q, model, data, noise)
         h = 1e-5
-        fd_mu = (kl_elbo_objective(MeanFieldGaussian(q.mu + h, q.log_sigma), model, data, noise)
-                 - kl_elbo_objective(MeanFieldGaussian(q.mu - h, q.log_sigma), model, data, noise)) / (2 * h)
-        fd_ls = (kl_elbo_objective(MeanFieldGaussian(q.mu, q.log_sigma + h), model, data, noise)
-                 - kl_elbo_objective(MeanFieldGaussian(q.mu, q.log_sigma - h), model, data, noise)) / (2 * h)
+
+        def value(mu, log_sigma):
+            return kl_elbo_with_grad(MeanFieldGaussian(mu, log_sigma), model, data, noise)[0]
+
+        fd_mu = (value(q.mu + h, q.log_sigma) - value(q.mu - h, q.log_sigma)) / (2 * h)
+        fd_ls = (value(q.mu, q.log_sigma + h) - value(q.mu, q.log_sigma - h)) / (2 * h)
         assert abs(d_mu[0] - fd_mu) / max(1.0, abs(fd_mu)) < 1e-4
         assert abs(d_ls[0] - fd_ls) / max(1.0, abs(fd_ls)) < 1e-4
 
