@@ -5,10 +5,13 @@ The variational trainer needs ``dim`` and one batched method,
 ``log_joint_and_grad(thetas, data) -> (a, G)``: for a K x dim array of
 parameter rows it returns the K log joints and their K x dim gradients.
 Both models evaluate all rows in one stacked forward and backward pass.
-``log_joint(theta, data)``, ``grad_log_joint(theta, data)`` and
-``predict_f(theta, X)`` are one-row views of the same code, for callers
-that hold a single theta.  ``data`` is any object with ``X`` (N x D) and
-``y`` (N,) attributes.
+Prediction needs two more: ``outputs(thetas, X)``, the K x N regression
+outputs of K parameter rows, and ``noise_var(thetas)``, the observation
+noise variance averaged over them.  A row's outputs do not depend on
+which rows share its batch.  ``log_joint(theta, data)``,
+``grad_log_joint(theta, data)`` and ``predict_f(theta, X)`` are one-row
+views of the batched methods, for callers that hold a single theta.
+``data`` is any object with ``X`` (N x D) and ``y`` (N,) attributes.
 
 Gradient correctness for every model is enforced by
 `check_log_joint_gradient`, the shared finite-difference conformance
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -93,16 +97,24 @@ class BLRModel:
             sigmas[-1] = self.prior_b_sigma
         return sigmas
 
-    def _outputs(self, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """K x N regression outputs, one row per parameter row."""
-        f = thetas[:, :self.input_dim] @ X.T
+    def outputs(self, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """K x N regression outputs, one row per parameter row.
+
+        Each row is its own vector-matrix product, so its outputs do not
+        depend on the other rows of the batch.
+        """
+        thetas = _as_rows(thetas, self.dim)
+        f = np.matmul(thetas[:, None, :self.input_dim], np.asarray(X, dtype=float).T)[:, 0]
         if self.include_bias:
             f += thetas[:, -1:]
         return f
 
+    def noise_var(self, thetas: np.ndarray) -> float:
+        """The fixed observation-noise variance, whatever the rows."""
+        return self.noise_sigma**2
+
     def predict_f(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        thetas = _as_rows(np.asarray(theta)[None], self.dim)
-        return self._outputs(thetas, np.asarray(X, dtype=float))[0]
+        return self.outputs(np.asarray(theta)[None], X)[0]
 
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta_k, data) and its gradient for every row of K x dim thetas."""
@@ -113,7 +125,10 @@ class BLRModel:
         value = (-0.5 * np.einsum("kd,kd->k", scaled, scaled)
                  - float(np.sum(np.log(sigmas))) - 0.5 * self.dim * _LOG_2PI)
         grad = -scaled / sigmas
-        resid = y - self._outputs(thetas, X)
+        f = thetas[:, :self.input_dim] @ X.T  # one matrix product over all K rows
+        if self.include_bias:
+            f += thetas[:, -1:]
+        resid = y - f
         value += _gaussian_loglik(resid, self.noise_sigma)
         back = resid / self.noise_sigma**2
         grad[:, :self.input_dim] += back @ X
@@ -194,20 +209,21 @@ class BNNModel:
     def noise_sigma(self) -> float:
         return math.exp(self.noise_log_sigma)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         count = sum(n_out * n_in + n_out
                     for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         return count + (1 if self.learn_noise else 0)
 
-    def _layer_slices(self) -> list[tuple[slice, slice, int, int]]:
+    @cached_property
+    def _layer_slices(self) -> tuple[tuple[slice, slice, int, int], ...]:
         """(weight slice, bias slice, n_out, n_in) of each layer in theta."""
         out, pos = [], 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             w_end = pos + n_out * n_in
             out.append((slice(pos, w_end), slice(w_end, w_end + n_out), n_out, n_in))
             pos = w_end + n_out
-        return out
+        return tuple(out)
 
     def _forward(self, thetas: np.ndarray, X: np.ndarray):
         """Run all K networks on X: (weights, activations).
@@ -218,7 +234,7 @@ class BNNModel:
         where its activation is positive.
         """
         weights, acts = [], [X]
-        for i, (w_sl, b_sl, n_out, n_in) in enumerate(self._layer_slices()):
+        for i, (w_sl, b_sl, n_out, n_in) in enumerate(self._layer_slices):
             if i:
                 np.maximum(acts[-1], 0.0, out=acts[-1])
             W = thetas[:, w_sl].reshape(-1, n_out, n_in)
@@ -228,10 +244,20 @@ class BNNModel:
             acts.append(h)
         return weights, acts
 
+    def outputs(self, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """K x N network outputs, one row per parameter row."""
+        _, acts = self._forward(_as_rows(thetas, self.dim), np.asarray(X, dtype=float))
+        return acts[-1][:, :, 0]
+
+    def noise_var(self, thetas: np.ndarray) -> float:
+        """The fixed noise variance, or E[exp(2 theta_noise)] over the rows
+        when the log noise is learned."""
+        if self.learn_noise:
+            return float(np.mean(np.exp(2.0 * thetas[:, -1])))
+        return self.noise_sigma**2
+
     def predict_f(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        thetas = _as_rows(np.asarray(theta)[None], self.dim)
-        _, acts = self._forward(thetas, np.asarray(X, dtype=float))
-        return acts[-1][0, :, 0]
+        return self.outputs(np.asarray(theta)[None], X)[0]
 
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta_k, data) and its gradient for every row of K x dim thetas.
@@ -254,7 +280,7 @@ class BNNModel:
         value += _gaussian_loglik(resid, sigma)
         delta = (resid / sigma[:, None] ** 2)[:, :, None]  # d loglik / d output
         ones = np.ones(len(y))  # column sums as a matmul, faster than sum(axis=1)
-        for i, (w_sl, b_sl, _, _) in reversed(list(enumerate(self._layer_slices()))):
+        for i, (w_sl, b_sl, _, _) in reversed(list(enumerate(self._layer_slices))):
             grad[:, w_sl] += np.matmul(delta.transpose(0, 2, 1), acts[i]).reshape(k, -1)
             grad[:, b_sl] += ones @ delta
             if i:
@@ -319,23 +345,33 @@ class PredictiveSummary:
             raise ValueError("need at least one posterior draw")
 
 
+# Draws per batched outputs call: bounds the chunk x N x width hidden
+# activations of a network however many draws a prediction makes.
+_PREDICT_CHUNK = 32
+
+
 def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
             stream: int | None = None) -> PredictiveSummary:
     """Monte Carlo posterior-predictive mean and stddev.
 
     Draws reparameterized thetas from q, averages the deterministic model
-    outputs, and adds the observation noise to the spread in quadrature
-    (so the predictive stddev never drops below the noise floor).
+    outputs, evaluated in chunks of at most _PREDICT_CHUNK draws, and adds
+    the observation noise variance (the learned one, averaged over the
+    draws, when the model learns it) to the spread, so the predictive
+    stddev never drops below the noise floor.
     """
     X_test = np.asarray(X_test, dtype=float)
     if stream is None:
         stream = rng.compose_stream(rng.STREAM_PREDICT)
     eps = rng.noise_block(seed, stream, 0, draws, q.dim).epsilons
     thetas = q.mu[None, :] + np.exp(q.log_sigma)[None, :] * eps
-    outputs = np.stack([model.predict_f(theta, X_test) for theta in thetas])
+    outputs = np.empty((draws, len(X_test)))
+    for start in range(0, draws, _PREDICT_CHUNK):
+        chunk = slice(start, start + _PREDICT_CHUNK)
+        outputs[chunk] = model.outputs(thetas[chunk], X_test)
     mean = outputs.mean(axis=0)
     var = outputs.var(axis=0)
-    return PredictiveSummary(mean=mean, std=np.sqrt(var + model.noise_sigma**2),
+    return PredictiveSummary(mean=mean, std=np.sqrt(var + model.noise_var(thetas)),
                              draws=draws)
 
 

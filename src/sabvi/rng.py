@@ -11,6 +11,11 @@ addressed by (seed, stream, step):
 
 Replaying a (seed, stream, step) triple therefore reproduces the draws
 bit for bit, and concurrent tasks stay independent by construction.
+
+A training draws one noise block per step from one (seed, stream) pair,
+so it keeps a single live generator, a `NoiseStream`, and resets its
+counter to ``[0, 0, 0, step]`` before each block instead of building a
+new generator; the blocks are the ones a fresh `generator` would give.
 """
 
 from __future__ import annotations
@@ -70,6 +75,25 @@ class NoiseBlock:
         return self.epsilons.shape[1]
 
 
+class NoiseStream:
+    """One live Philox generator for a (seed, stream) pair, addressed by step."""
+
+    def __init__(self, seed: int, stream: int):
+        bits = np.random.Philox(key=np.array([seed, stream], dtype=_U64),
+                                counter=np.zeros(4, dtype=_U64))
+        self._bits = bits
+        self._gen = np.random.Generator(bits)
+        # the freshly seeded state; block() rewrites only its step word, so
+        # the buffered output and cached 32-bit half are cleared as well
+        self._state = bits.state
+        self._counter = self._state["state"]["counter"]
+
+    def block(self, step: int, n_samples: int, dim: int) -> NoiseBlock:
+        """The n_samples x dim standard-normal block at counter [0, 0, 0, step]."""
+        self._counter[3] = step
+        self._bits.state = self._state
+        return NoiseBlock(self._gen.standard_normal((n_samples, dim)))
+
+
 def noise_block(seed: int, stream: int, step: int, n_samples: int, dim: int) -> NoiseBlock:
-    g = generator(seed, stream, step)
-    return NoiseBlock(g.standard_normal((n_samples, dim)))
+    return NoiseStream(seed, stream).block(step, n_samples, dim)

@@ -10,9 +10,12 @@ writing a_k = log p(theta_k, X), b_k = log q(theta_k) and lam = alpha+beta,
     term3 = LSE_k[ (alpha-1) b_k + beta a_k ] - log K  (over -1/(alpha beta))
 
 evaluated entirely in log space; raw density ratios overflow for real
-models as soon as |lam| leaves a neighborhood of 1.  Adding a constant to
-every a_k shifts term1 by lam c and term3 by beta c, which cancel exactly
-in the weighted sum: the estimator never needs the marginal likelihood.
+models as soon as |lam| leaves a neighborhood of 1.  The three exponents
+are stacked into one 3 x K array and reduced by one fused log-sum-exp
+(one max, exp and sum per row), row for row the same arithmetic as three
+separate ones.  Adding a constant to every a_k shifts term1 by lam c and
+term3 by beta c, which cancel exactly in the weighted sum: the estimator
+never needs the marginal likelihood.
 
 Gradients are exact derivatives of the estimator with the noise block held
 fixed.  One ``model.log_joint_and_grad`` call on the K x d sample rows
@@ -71,26 +74,23 @@ class MeanFieldGaussian:
 
     mu: np.ndarray = field(repr=False)
     log_sigma: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)  # exp(log_sigma)
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         ls = np.atleast_1d(np.asarray(self.log_sigma, dtype=float))
         if mu.shape != ls.shape or mu.ndim != 1:
             raise ValueError("mu and log_sigma must be 1-D vectors of equal length")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(ls))):
+        if not (np.isfinite(mu).all() and np.isfinite(ls).all()):
             raise ValueError("variational parameters must be finite")
-        mu.flags.writeable = False
-        ls.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "log_sigma", ls)
+        sigma = np.exp(ls)
+        for name, value in (("mu", mu), ("log_sigma", ls), ("sigma", sigma)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.mu.size
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.log_sigma)
 
     @classmethod
     def initial(cls, dim: int, log_sigma: float = DEFAULT_INIT_LOG_SIGMA):
@@ -120,8 +120,8 @@ def sample_reparam(q: MeanFieldGaussian, noise: NoiseBlock) -> np.ndarray:
 def _log_q_values(q: MeanFieldGaussian, noise: NoiseBlock) -> np.ndarray:
     # log q(theta_k) expressed through the noise: the quadratic term is
     # eps^2/2 exactly, so the parameter dependence is -sum(log sigma).
-    quad = 0.5 * np.sum(noise.epsilons**2, axis=1)
-    return -float(np.sum(q.log_sigma)) - 0.5 * q.dim * _LOG_2PI - quad
+    quad = 0.5 * (noise.epsilons**2).sum(axis=1)
+    return -float(q.log_sigma.sum()) - 0.5 * q.dim * _LOG_2PI - quad
 
 
 def _require_generic(params: DivergenceParams):
@@ -146,25 +146,21 @@ def _log_joints(q: MeanFieldGaussian, model, data, noise: NoiseBlock,
     return a, grads
 
 
-def _lse(v: np.ndarray) -> tuple[float, np.ndarray]:
-    m = np.max(v)
-    z = np.exp(v - m)
-    total = z.sum()
-    return float(m + np.log(total)), z / total
-
-
 def _mc_terms(params: DivergenceParams, a: np.ndarray, b: np.ndarray):
     """The estimator value and its gradient weights (s1 - s3) / alpha."""
-    lam = params.lam
+    alpha, beta, lam = params.alpha, params.beta, params.lam
     log_k = math.log(a.size)
-    e1 = lam * a - b
-    e2 = (lam - 1.0) * b
-    e3 = (params.alpha - 1.0) * b + params.beta * a
-    (t1, s1), (t2, _), (t3, s3) = _lse(e1), _lse(e2), _lse(e3)
-    value = ((t1 - log_k) / (params.alpha * lam)
-             + (t2 - log_k) / (params.beta * lam)
-             - (t3 - log_k) / (params.alpha * params.beta))
-    return value, (s1 - s3) / params.alpha
+    e = np.array([lam * a - b, (lam - 1.0) * b, (alpha - 1.0) * b + beta * a])
+    m = e.max(axis=1, keepdims=True)
+    e -= m
+    z = np.exp(e, out=e)
+    total = z.sum(axis=1, keepdims=True)
+    t1, t2, t3 = (m + np.log(total)).ravel().tolist()
+    value = ((t1 - log_k) / (alpha * lam)
+             + (t2 - log_k) / (beta * lam)
+             - (t3 - log_k) / (alpha * beta))
+    z /= total
+    return value, (z[0] - z[2]) / alpha
 
 
 def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
@@ -212,6 +208,7 @@ class TrainReport:
     init_mu: np.ndarray = field(repr=False)
     init_log_sigma: np.ndarray = field(repr=False)
     used_kl_path: bool
+    skipped_steps: int  # non-finite steps whose update was skipped
 
     def to_dict(self) -> dict:
         return {
@@ -221,6 +218,7 @@ class TrainReport:
             "seed": self.seed,
             "stream": self.stream,
             "used_kl_path": self.used_kl_path,
+            "skipped_steps": self.skipped_steps,
             "mc": self.mc_config.to_dict(),
             "adam": self.adam_config.to_dict(),
             "init_mu": self.init_mu.tolist(),
@@ -240,7 +238,7 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
           stream: int | None = None) -> TrainReport:
     """ADAM descent on the MC divergence estimate with fresh noise per step.
 
-    Noise for step t comes from the (seed, stream, t) counter stream, so a
+    Noise for step t is block t of one live (seed, stream) noise stream, so a
     rerun with the same configuration reproduces the trace bit for bit and
     concurrent runs stay independent by choosing distinct streams.  The
     (1, 0) corner routes through the negative-ELBO path; other exact limit
@@ -258,12 +256,13 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
     state = AdamState.init(np.concatenate([q0.mu, q0.log_sigma]))
     d = q0.dim
     trace = np.empty(opt.steps)
+    noise_stream = rng.NoiseStream(mc.seed, stream)
     bad_streak = 0
-    finite_steps = 0
+    skipped = 0
     q = q0
     for step in range(opt.steps):
         q = MeanFieldGaussian(state.params[:d], state.params[d:])
-        noise = rng.noise_block(mc.seed, stream, step, mc.n_samples, d)
+        noise = noise_stream.block(step, mc.n_samples, d)
         with np.errstate(all="ignore"):
             if kl_path:
                 value, d_mu, d_ls = kl_elbo_with_grad(q, model, data, noise, strict=False)
@@ -272,29 +271,30 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
                                                            strict=False)
         trace[step] = value
         grad = np.concatenate([d_mu, d_ls])
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             bad_streak += 1
+            skipped += 1
             if bad_streak >= _MAX_BAD_STEPS:
-                report = _report(params, q, trace[:step + 1], mc, opt, q0, stream, kl_path)
+                report = _report(params, q, trace[:step + 1], mc, opt, q0, stream, kl_path,
+                                 skipped)
                 raise TrainingDiverged(
                     f"objective non-finite for {bad_streak} consecutive steps "
                     f"at (alpha={params.alpha}, beta={params.beta})", report)
             continue  # skip the update, keep counting
         bad_streak = 0
-        finite_steps += 1
         state = adam_step(state, grad, opt)
     final = MeanFieldGaussian(state.params[:d], state.params[d:])
-    report = _report(params, final, trace, mc, opt, q0, stream, kl_path)
-    if opt.steps and not finite_steps:
+    report = _report(params, final, trace, mc, opt, q0, stream, kl_path, skipped)
+    if opt.steps and skipped == opt.steps:
         raise TrainingDiverged(
             f"objective non-finite at all {opt.steps} steps "
             f"at (alpha={params.alpha}, beta={params.beta})", report)
     return report
 
 
-def _report(params, final, trace, mc, opt, q0, stream, kl_path) -> TrainReport:
+def _report(params, final, trace, mc, opt, q0, stream, kl_path, skipped) -> TrainReport:
     return TrainReport(alpha=params.alpha, beta=params.beta, final=final,
                        trace=np.asarray(trace, dtype=float), seed=mc.seed,
                        stream=stream, mc_config=mc, adam_config=opt,
                        init_mu=q0.mu.copy(), init_log_sigma=q0.log_sigma.copy(),
-                       used_kl_path=kl_path)
+                       used_kl_path=kl_path, skipped_steps=skipped)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from sabvi import rng as sabrng
 from sabvi.gradcheck import MODEL_GRAD_TOL, model_gradient_suite
 from sabvi.models import (
     BLRModel,
@@ -194,6 +195,32 @@ class TestPredict:
     def test_draw_count_validated(self):
         with pytest.raises(ValueError):
             PredictiveSummary(np.zeros(2), np.zeros(2), 0)
+
+    @pytest.mark.parametrize("draws", [1, 31, 32, 33, 200])
+    @pytest.mark.parametrize("model", [BLRModel(input_dim=3), BNNModel((3, 4, 1)),
+                                       BNNModel((3, 4, 1), learn_noise=True)],
+                             ids=["blr", "bnn", "bnn-learn-noise"])
+    def test_chunked_prediction_equals_per_draw_outputs(self, rng, model, draws):
+        q = MeanFieldGaussian(rng.normal(0, 0.5, model.dim), rng.normal(-1, 0.3, model.dim))
+        X = rng.uniform(-1, 1, (11, 3))
+        summary = predict(q, model, X, draws=draws, seed=4, stream=9)
+        eps = sabrng.noise_block(4, 9, 0, draws, model.dim).epsilons
+        thetas = q.mu + np.exp(q.log_sigma) * eps
+        outputs = np.stack([model.predict_f(theta, X) for theta in thetas])
+        if getattr(model, "learn_noise", False):
+            noise_var = np.mean(np.exp(2.0 * thetas[:, -1]))
+        else:
+            noise_var = model.noise_sigma**2
+        np.testing.assert_array_equal(summary.mean, outputs.mean(axis=0))
+        np.testing.assert_array_equal(summary.std, np.sqrt(outputs.var(axis=0) + noise_var))
+
+    def test_learned_noise_sets_the_noise_floor(self, rng):
+        model = BNNModel((2, 3, 1), learn_noise=True)
+        mu = np.zeros(model.dim)
+        mu[-1] = math.log(2.0)
+        q = MeanFieldGaussian(mu, np.full(model.dim, -6.0))
+        summary = predict(q, model, rng.uniform(-1, 1, (5, 2)), draws=100, seed=3)
+        np.testing.assert_allclose(summary.std, 2.0, rtol=1e-3)
 
 
 def _reference_log_joint(model, theta, X, y):

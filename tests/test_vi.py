@@ -278,6 +278,7 @@ class TestTrain:
                   BrokenModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=100))
         report = excinfo.value.report
         assert report is not None and report.trace.size == 10
+        assert report.skipped_steps == 10
 
     @pytest.mark.parametrize("alpha,beta", [(1.2, 0.4), (1.0, 0.0)])
     def test_short_run_without_a_finite_step_diverges(self, alpha, beta):
@@ -288,6 +289,7 @@ class TestTrain:
                   BrokenModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=5))
         report = excinfo.value.report
         assert report.trace.size == 5 and np.all(np.isnan(report.trace))
+        assert report.skipped_steps == 5
 
     def test_one_finite_step_is_enough_to_finish(self):
         class FlakyModel(GaussianJointModel):
@@ -302,6 +304,7 @@ class TestTrain:
                        FlakyModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=5))
         assert np.isfinite(report.trace).sum() == 1
         assert report.final.mu[0] != 0.0
+        assert report.skipped_steps == 4 and report.to_dict()["skipped_steps"] == 4
 
     def test_report_serializes(self):
         model, data, _, _ = conjugate_problem()
@@ -309,6 +312,7 @@ class TestTrain:
                        model, data, MCConfig(3, 1), AdamConfig(steps=5))
         d = report.to_dict()
         assert d["used_kl_path"] and len(d["trace"]) == 5
+        assert d["skipped_steps"] == 0
         assert d["init_log_sigma"] == [math.log(0.1)]
 
 
@@ -323,3 +327,4 @@ class TestMeanFieldGaussian:
         q = MeanFieldGaussian.initial(4)
         np.testing.assert_array_equal(q.mu, np.zeros(4))
         np.testing.assert_allclose(q.sigma, 0.1)
+        assert not q.sigma.flags.writeable
