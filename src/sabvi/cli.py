@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,11 +199,7 @@ def cmd_toy(config: dict, outdir: Path) -> int:
                        dim=config["dim"], p_outliers=config["outliers"],
                        mc_samples=config["mc_samples"], steps=config["steps"],
                        learning_rate=config["learning_rate"])
-    try:
-        result = run_toy_experiment(settings, seeds, cfg, collect_reports=True)
-    except TrainingDiverged as exc:
-        _dump_json(outdir / "error.json", {"error": str(exc)})
-        raise
+    result = run_toy_experiment(settings, seeds, cfg, collect_reports=True)
     reports = result.pop("reports")
     _dump_json(outdir / "results.json", result)
     _dump_json(outdir / "reports.json", reports)
@@ -220,40 +217,44 @@ def cmd_toy(config: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
+# What `uci --full` runs, whatever the other flags say.
+UCI_FULL_SCALE = {"grid_step": 0.25, "k1": 10, "k2": 2, "hidden": [50, 50],
+                  "mc_samples": 25, "steps": 500}
+
+
 def cmd_uci(config: dict, outdir: Path) -> int:
     dataset = normalize(load_csv(config["csv"], config["target_column"]))
     if config["corrupt"] > 0:
         dataset = corrupt(dataset, config["corrupt"], config["seed"])
-    grid = GridSearchSpec(step=config["grid_step"])
     if config["full"]:
-        cv_cfg = CVRunConfig.full_scale()
-        k1, k2 = 10, 2
-    else:
-        cv_cfg = CVRunConfig(hidden=tuple(config["hidden"]),
-                             mc_samples=config["mc_samples"], steps=config["steps"],
-                             learning_rate=config["learning_rate"])
-        k1, k2 = config["k1"], config["k2"]
+        config = {**config, **UCI_FULL_SCALE}
+    k1, k2 = config["k1"], config["k2"]
+    if dataset.n < k1 * k2:
+        raise ConfigError(f"--k1 {k1} x --k2 {k2} folds need at least {k1 * k2} rows, "
+                          f"the CSV has {dataset.n}")
+    cv_cfg = CVRunConfig(hidden=tuple(config["hidden"]),
+                         mc_samples=config["mc_samples"], steps=config["steps"],
+                         learning_rate=config["learning_rate"])
     if config.get("model_config"):
         with open(config["model_config"]) as fh:
             model_cfg = json.load(fh)
-        model = model_from_config(model_cfg)
+        try:
+            model = model_from_config(model_cfg)
+        except ValueError as exc:
+            raise ConfigError(f"--model-config: {exc}") from exc
         if not isinstance(model, BNNModel):
             raise ConfigError("the grid search trains Bayesian networks; "
                               "give a 'bnn' model config")
         if model.layer_sizes[0] != dataset.dim:
             raise ConfigError(f"model input size {model.layer_sizes[0]} does not "
                               f"match the {dataset.dim} CSV features")
-        cv_cfg = CVRunConfig(hidden=model.layer_sizes[1:-1],
-                             mc_samples=cv_cfg.mc_samples, steps=cv_cfg.steps,
-                             learning_rate=cv_cfg.learning_rate,
-                             noise_sigma=model.noise_sigma,
-                             learn_noise=model.learn_noise)
-    try:
-        report = nested_cv(dataset, grid, k1=k1, k2=k2, config=cv_cfg,
-                           seed=config["seed"], collect_reports=True)
-    except TrainingDiverged as exc:
-        _dump_json(outdir / "error.json", {"error": str(exc)})
-        raise
+        if model.prior_sigma != 1.0:
+            raise ConfigError(f"the grid search trains with prior_sigma 1.0; the model "
+                              f"config asks for prior_sigma {model.prior_sigma}")
+        cv_cfg = replace(cv_cfg, hidden=model.layer_sizes[1:-1],
+                         noise_sigma=model.noise_sigma, learn_noise=model.learn_noise)
+    report = nested_cv(dataset, GridSearchSpec(step=config["grid_step"]), k1=k1, k2=k2,
+                       config=cv_cfg, seed=config["seed"], collect_reports=True)
     payload = report.to_dict()
     _dump_json(outdir / "reports.json", payload.pop("train_reports"))
     payload["model"] = cv_cfg.build_model(dataset.dim).to_config()
@@ -387,9 +388,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
 _MIN_COUNTS = {
     "divergence": {"grid_points": 2},
     "fit-density": {"grid_points": 2, "max_iters": 1},
-    "toy": {"seeds": 1, "steps": 1, "mc_samples": 1},
-    "uci": {"steps": 1, "mc_samples": 1},
+    "toy": {"seeds": 1, "steps": 1, "mc_samples": 1, "dim": 1, "train_size": 1,
+            "test_size": 1},
+    "uci": {"steps": 1, "mc_samples": 1, "k1": 2, "k2": 2},
 }
+_FRACTIONS = {"toy": "outliers", "uci": "corrupt"}  # each must lie in [0, 1)
 
 
 def _validate(config: dict) -> None:
@@ -398,9 +401,15 @@ def _validate(config: dict) -> None:
         if config[key] < least:
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{flag} must be at least {least}, got {config[key]}")
-    rate = config.get("learning_rate")
-    if rate is not None and not (math.isfinite(rate) and rate > 0):
-        raise ConfigError(f"--learning-rate must be positive and finite, got {rate}")
+    for key in ("learning_rate", "grid_step"):
+        value = config.get(key)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{key.replace('_', '-')} must be positive and finite, "
+                              f"got {value}")
+    if cmd in _FRACTIONS:
+        key = _FRACTIONS[cmd]
+        if not 0.0 <= config[key] < 1.0:
+            raise ConfigError(f"--{key} must be in [0, 1), got {config[key]}")
     if cmd == "fit-density":
         for key in ("init_mu", "init_log_sigma"):
             value = config.get(key)
@@ -412,8 +421,8 @@ def _validate(config: dict) -> None:
         raise ConfigError("divergence needs --p and --q density specs")
     if cmd == "uci" and not config.get("csv"):
         raise ConfigError("uci needs --csv")
-    if cmd == "uci" and not 0.0 <= config.get("corrupt", 0.0) < 1.0:
-        raise ConfigError("--corrupt must be in [0, 1)")
+    if cmd == "uci" and min(config["hidden"]) < 1:
+        raise ConfigError(f"--hidden sizes must be at least 1, got {config['hidden']}")
 
 
 def main(argv=None) -> int:
@@ -432,6 +441,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (EvaluationError, DomainError, UnsupportedRegionError,
             TrainingDiverged, np.linalg.LinAlgError) as exc:
+        if isinstance(exc, TrainingDiverged):  # only commands train, so outdir exists
+            _dump_json(outdir / "error.json", {"error": str(exc)})
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -4,7 +4,8 @@ The toy harness fits Bayesian linear regression to synthetic data whose
 training targets are partially shifted by a constant outlier offset, then
 scores each divergence setting on a fresh clean test draw.  The
 cross-validation harness runs a nested grid search over (alpha, beta) for
-a small Bayesian network on a corrupted regression table.
+a small Bayesian network on a corrupted regression table.  Both run every
+fit through one task, `_train_and_score`: train, predict, score.
 
 Corruption bookkeeping: `corrupt` adds OUTLIER_SHIFT to the normalized
 target at a sampled index set and records the mask, so evaluation code can
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -185,18 +187,23 @@ def save_csv(dataset: Dataset, path, target_column: str = "y"):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
 
 
-def normalize(dataset: Dataset) -> Dataset:
-    """Standardize features and target to zero mean, unit variance."""
-    x_mean = dataset.X.mean(axis=0)
-    x_std = dataset.X.std(axis=0)
+def _moments(dataset: Dataset, rows=slice(None)):
+    """Feature means and stds, target mean and std over the given rows."""
+    X, y = dataset.X[rows], dataset.y[rows]
+    x_std = X.std(axis=0)
     for i, s in enumerate(x_std):
         if s <= 0:
             name = dataset.feature_names[i] if dataset.feature_names else f"column {i}"
             raise ValueError(f"zero variance feature {name!r}")
-    y_std = float(dataset.y.std())
+    y_std = float(y.std())
     if y_std <= 0:
         raise ValueError("zero variance target")
-    y_mean = float(dataset.y.mean())
+    return X.mean(axis=0), x_std, float(y.mean()), y_std
+
+
+def normalize(dataset: Dataset) -> Dataset:
+    """Standardize features and target to zero mean, unit variance."""
+    x_mean, x_std, y_mean, y_std = _moments(dataset)
     return replace(dataset,
                    X=(dataset.X - x_mean) / x_std,
                    y=(dataset.y - y_mean) / y_std,
@@ -238,6 +245,22 @@ def metrics(y_true, y_pred) -> dict:
     return {"mae": float(np.mean(np.abs(err))), "mse": mse, "rmse": math.sqrt(mse)}
 
 
+def _train_and_score(params: DivergenceParams, model, split, cfg, seed: int, stream_ids):
+    """Train on split = (X_fit, y_fit, X_eval, y_eval) and score the
+    predictive mean against y_eval: (metrics dict, training report).
+
+    Training and prediction draw from the streams addressed by stream_ids.
+    """
+    X_fit, y_fit, X_eval, y_eval = split
+    report = train(params, MeanFieldGaussian.initial(model.dim), model, XYData(X_fit, y_fit),
+                   MCConfig(cfg.mc_samples, seed),
+                   AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
+                   stream=rng.compose_stream(rng.STREAM_TRAIN, *stream_ids))
+    summary = predict(report.final, model, X_eval, cfg.predict_draws, seed,
+                      stream=rng.compose_stream(rng.STREAM_PREDICT, *stream_ids))
+    return metrics(y_eval, summary.mean), report
+
+
 # ---------------------------------------------------------------------------
 # toy experiment (table of MAE/MSE per divergence setting)
 # ---------------------------------------------------------------------------
@@ -269,7 +292,10 @@ def run_toy_experiment(settings: list[tuple[float, float]], seeds: list[int],
     collect_reports the serialized per-run training reports (traces
     included) ride along in the result.
     """
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     cfg = config or ToyRunConfig()
+    model = BLRModel(input_dim=cfg.dim, noise_sigma=TOY_NOISE_SIGMA)
     rows = []
     reports = []
     for setting_idx, (lam, beta) in enumerate(settings):
@@ -280,27 +306,20 @@ def run_toy_experiment(settings: list[tuple[float, float]], seeds: list[int],
                                stream=rng.compose_stream(rng.STREAM_DATA, 0))
             test_ds = gen_toy(cfg.n_test, cfg.dim, 0.0, seed,
                               stream=rng.compose_stream(rng.STREAM_DATA, 1))
-            model = BLRModel(input_dim=cfg.dim, noise_sigma=TOY_NOISE_SIGMA)
+            split = (train_ds.X, train_ds.y, test_ds.X, test_ds.y)
             try:
-                report = train(params, MeanFieldGaussian.initial(model.dim), model,
-                               train_ds, MCConfig(cfg.mc_samples, seed),
-                               AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
-                               stream=rng.compose_stream(rng.STREAM_TRAIN, setting_idx))
+                m, report = _train_and_score(params, model, split, cfg, seed, (setting_idx,))
             except TrainingDiverged as exc:
                 raise TrainingDiverged(
                     f"toy setting (lambda={lam}, beta={beta}) seed {seed}: {exc}",
                     exc.report) from exc
-            summary = predict(report.final, model, test_ds.X, cfg.predict_draws, seed,
-                              stream=rng.compose_stream(rng.STREAM_PREDICT, setting_idx))
-            m = metrics(test_ds.y, summary.mean)
             per_seed.append({"seed": seed, **m})
             if collect_reports:
-                reports.append({"lambda": lam, "beta": beta, "seed": seed,
-                                **report.to_dict()})
+                reports.append(report.to_dict())
         to_arr = lambda key: np.array([r[key] for r in per_seed])
         rows.append({
             "lambda": lam, "beta": beta, "alpha": params.alpha,
-            "kl_path": params.alpha == 1.0 and params.beta == 0.0,
+            "kl_path": report.used_kl_path,
             "mae_mean": float(to_arr("mae").mean()), "mae_std": float(to_arr("mae").std()),
             "mse_mean": float(to_arr("mse").mean()), "mse_std": float(to_arr("mse").std()),
             "rmse_mean": float(to_arr("rmse").mean()),
@@ -360,19 +379,10 @@ class CVRunConfig:
     noise_sigma: float = 0.1
     learn_noise: bool = False
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["hidden"] = list(self.hidden)
-        return d
-
     def build_model(self, input_dim: int) -> BNNModel:
         return BNNModel(layer_sizes=(input_dim, *self.hidden, 1),
                         noise_log_sigma=math.log(self.noise_sigma),
                         learn_noise=self.learn_noise)
-
-    @classmethod
-    def full_scale(cls) -> "CVRunConfig":
-        return cls(hidden=(50, 50), mc_samples=25, steps=500)
 
 
 @dataclass
@@ -414,28 +424,6 @@ def _kl_distance(cell: tuple[float, float]) -> float:
     return abs(cell[0] - 1.0) + abs(cell[1])
 
 
-def _fold_scaler(X, y):
-    xm, xs = X.mean(axis=0), X.std(axis=0)
-    if np.any(xs <= 0):
-        raise ValueError("zero variance feature inside a fold")
-    ym, ys = float(y.mean()), float(y.std())
-    if ys <= 0:
-        raise ValueError("zero variance target inside a fold")
-    return xm, xs, ym, ys
-
-
-def _train_and_score(cell, model, X_tr, y_tr, X_ev, y_ev_clean, cfg, seed, stream_ids):
-    params = DivergenceParams(cell[0], cell[1])
-    report = train(params, MeanFieldGaussian.initial(model.dim), model,
-                   XYData(X_tr, y_tr),
-                   MCConfig(cfg.mc_samples, seed),
-                   AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
-                   stream=rng.compose_stream(rng.STREAM_TRAIN, *stream_ids))
-    summary = predict(report.final, model, X_ev, cfg.predict_draws, seed,
-                      stream=rng.compose_stream(rng.STREAM_PREDICT, *stream_ids))
-    return metrics(y_ev_clean, summary.mean)["rmse"], report
-
-
 def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
               config: CVRunConfig | None = None, seed: int = 0,
               collect_reports: bool = False) -> CVReport:
@@ -443,12 +431,14 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
 
     Expects a normalized (and usually corrupted) dataset.  Scaling is
     refit on every outer training split; inner splits reuse the outer
-    fold's scaler.  Training always sees observed (corrupted) targets
-    while validation and test scores use the clean ones.  The per-fold
-    winner is retrained on the whole outer training split, and the KL
-    cell is scored the same way for comparison.  Cells whose training
-    aborts on more than half of their inner fits are excluded from
-    selection with a recorded warning.
+    fold's scaling and are built once per outer fold, shared by every
+    cell.  Training always sees observed (corrupted) targets while
+    validation and test scores use the clean ones.  The per-fold winner
+    is retrained on the whole outer training split, and the KL cell is
+    scored the same way for comparison.  Every cell is tried k2 times per
+    fold; a cell that has failed more than half of its fits so far is not
+    selectable, and one that failed more than half of all k1 * k2 is
+    excluded with a recorded warning.
     """
     if k1 < 2 or k2 < 2:
         raise ValueError("need k1 >= 2 and k2 >= 2")
@@ -457,76 +447,60 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     cfg = config or CVRunConfig()
     cells = grid.cells()
     kl_cell = (1.0, 0.0)
+    model = cfg.build_model(dataset.dim)
 
     perm = rng.generator(seed, rng.compose_stream(rng.STREAM_FOLDS)).permutation(dataset.n)
     outer_folds = np.array_split(perm, k1)
     y_clean = dataset.y_clean
 
     val_scores = {cell: [] for cell in cells}
-    failures = {cell: 0 for cell in cells}
-    attempts = {cell: 0 for cell in cells}
+    failures = dict.fromkeys(cells, 0)
     fold_rows = []
-    warnings = []
     train_reports = [] if collect_reports else None
 
-    def log_report(fold, cell, role, rep):
-        if train_reports is not None:
-            train_reports.append({"fold": fold, "alpha": cell[0], "beta": cell[1],
-                                  "role": role, **rep.to_dict()})
+    def fit(f, cell, role, split, stream_ids) -> float:
+        m, report = _train_and_score(DivergenceParams(*cell), model, split, cfg, seed,
+                                     stream_ids)
+        if collect_reports:
+            train_reports.append({"fold": f, "role": role, **report.to_dict()})
+        return m["rmse"]
 
     for f, test_idx in enumerate(outer_folds):
         train_idx = np.concatenate([fold for j, fold in enumerate(outer_folds) if j != f])
-        xm, xs, ym, ys = _fold_scaler(dataset.X[train_idx], dataset.y[train_idx])
-        scale_x = lambda X: (X - xm) / xs
-        scale_y = lambda y: (y - ym) / ys
-        X_tr_all = scale_x(dataset.X[train_idx])
-        y_tr_obs = scale_y(dataset.y[train_idx])
-        y_tr_clean = scale_y(y_clean[train_idx])
-        X_te = scale_x(dataset.X[test_idx])
-        y_te_clean = scale_y(y_clean[test_idx])
-        model = cfg.build_model(dataset.dim)
+        xm, xs, ym, ys = _moments(dataset, train_idx)
+        X_tr = (dataset.X[train_idx] - xm) / xs
+        y_tr = (dataset.y[train_idx] - ym) / ys
+        y_tr_clean = (y_clean[train_idx] - ym) / ys
+        outer_split = (X_tr, y_tr, (dataset.X[test_idx] - xm) / xs,
+                       (y_clean[test_idx] - ym) / ys)
 
         inner_perm = rng.generator(seed, rng.compose_stream(rng.STREAM_FOLDS, 1, f)) \
             .permutation(train_idx.size)
         inner_folds = np.array_split(inner_perm, k2)
+        inner_splits = []
+        for j, val_rows in enumerate(inner_folds):
+            fit_rows = np.concatenate([rows for jj, rows in enumerate(inner_folds) if jj != j])
+            inner_splits.append((X_tr[fit_rows], y_tr[fit_rows],
+                                 X_tr[val_rows], y_tr_clean[val_rows]))
 
-        fold_cell_scores = {}
+        selectable = {}  # cell -> mean inner validation RMSE in this fold
         for c, cell in enumerate(cells):
             scores = []
-            for j, val_rows in enumerate(inner_folds):
-                fit_rows = np.concatenate(
-                    [rows for jj, rows in enumerate(inner_folds) if jj != j])
-                attempts[cell] += 1
+            for j, split in enumerate(inner_splits):
                 try:
-                    score, rep = _train_and_score(
-                        cell, model, X_tr_all[fit_rows], y_tr_obs[fit_rows],
-                        X_tr_all[val_rows], y_tr_clean[val_rows], cfg, seed,
-                        (f, c, j))
+                    scores.append(fit(f, cell, f"inner-{j}", split, (f, c, j)))
                 except TrainingDiverged:
                     failures[cell] += 1
-                    continue
-                log_report(f, cell, f"inner-{j}", rep)
-                scores.append(score)
-                val_scores[cell].append(score)
-            if scores:
-                fold_cell_scores[cell] = float(np.mean(scores))
-
-        selectable = {cell: s for cell, s in fold_cell_scores.items()
-                      if failures[cell] <= attempts[cell] / 2}
+            val_scores[cell] += scores
+            if scores and failures[cell] <= (f + 1) * k2 / 2:
+                selectable[cell] = float(np.mean(scores))
         if not selectable:
             raise TrainingDiverged(f"no trainable cell in outer fold {f}", None)
         winner = min(selectable, key=lambda cell: (selectable[cell], _kl_distance(cell)))
 
-        test_rmse, rep = _train_and_score(winner, model, X_tr_all, y_tr_obs,
-                                          X_te, y_te_clean, cfg, seed, (f, len(cells), 0))
-        log_report(f, winner, "retrain", rep)
-        if winner == kl_cell:
-            kl_rmse = test_rmse
-        else:
-            kl_rmse, rep = _train_and_score(kl_cell, model, X_tr_all, y_tr_obs,
-                                            X_te, y_te_clean, cfg, seed,
-                                            (f, len(cells) + 1, 0))
-            log_report(f, kl_cell, "kl-baseline", rep)
+        test_rmse = fit(f, winner, "retrain", outer_split, (f, len(cells), 0))
+        kl_rmse = test_rmse if winner == kl_cell else fit(
+            f, kl_cell, "kl-baseline", outer_split, (f, len(cells) + 1, 0))
         fold_rows.append({
             "fold": f,
             "selected": list(winner),
@@ -535,11 +509,9 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
             "kl_test_rmse": kl_rmse,
         })
 
-    excluded = sorted(cell for cell in cells
-                      if attempts[cell] and failures[cell] > attempts[cell] / 2)
-    for cell in excluded:
-        warnings.append(f"cell (alpha={cell[0]}, beta={cell[1]}) failed "
-                        f"{failures[cell]}/{attempts[cell]} fits; excluded from selection")
+    excluded = sorted(cell for cell in cells if failures[cell] > k1 * k2 / 2)
+    warnings = [f"cell (alpha={cell[0]}, beta={cell[1]}) failed {failures[cell]}/{k1 * k2} "
+                "fits; excluded from selection" for cell in excluded]
 
     cell_rows = [{
         "alpha": cell[0], "beta": cell[1], "lambda": round(cell[0] + cell[1], 10),
@@ -548,13 +520,9 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
         "n_scores": len(val_scores[cell]), "failures": failures[cell],
     } for cell in cells]
 
-    counts = {}
-    for row in fold_rows:
-        key = tuple(row["selected"])
-        counts[key] = counts.get(key, 0) + 1
-    best = max(counts.values())
-    selected = min((cell for cell, cnt in counts.items() if cnt == best),
-                   key=_kl_distance)
+    votes = Counter(tuple(row["selected"]) for row in fold_rows)
+    best = max(votes.values())
+    selected = min((cell for cell, n in votes.items() if n == best), key=_kl_distance)
 
     test_rmses = np.array([row["test_rmse"] for row in fold_rows])
     kl_rmses = np.array([row["kl_test_rmse"] for row in fold_rows])

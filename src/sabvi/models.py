@@ -360,6 +360,8 @@ def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
     draws, when the model learns it) to the spread, so the predictive
     stddev never drops below the noise floor.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     X_test = np.asarray(X_test, dtype=float)
     if stream is None:
         stream = rng.compose_stream(rng.STREAM_PREDICT)

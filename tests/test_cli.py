@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from sabvi import cli, experiments
 from sabvi.cli import main
 from sabvi.divergence import gaussian_log_pdf
-from sabvi.experiments import gen_nonlinear, save_csv
+from sabvi.experiments import CVRunConfig, gen_nonlinear, save_csv
+from sabvi.vi import TrainingDiverged
 
 
 def run_cli(*args):
@@ -287,9 +289,80 @@ class TestUciCommand:
         for name in ("cells.csv", "folds.csv", "heatmap.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("config,message", [
+        # the grid search trains with a unit prior; another one would be ignored
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "prior_sigma": 2.0}, "prior_sigma 2.0"),
+        ({"kind": "gp"}, "unknown model kind 'gp'"),
+    ], ids=["prior_sigma", "kind"])
+    def test_bad_model_config_is_config_error(self, tmp_path, csv_path, capsys, config,
+                                              message):
+        model_cfg = tmp_path / "model.json"
+        model_cfg.write_text(json.dumps(config))
+        out = tmp_path / "x"
+        assert run_cli("uci", "--csv", csv_path, "--grid-step", 2.0, "--k1", 2,
+                       "--model-config", model_cfg, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
+    def test_full_preset_reaches_the_grid_search(self, tmp_path, csv_path, monkeypatch):
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def fake_nested_cv(dataset, grid, **kwargs):
+            seen.update(grid=grid, **kwargs)
+            raise Captured
+
+        monkeypatch.setattr(cli, "nested_cv", fake_nested_cv)
+        with pytest.raises(Captured):
+            run_cli("uci", "--csv", csv_path, "--full", "--out", tmp_path / "x")
+        assert seen["grid"].step == 0.25 and len(seen["grid"].cells()) == 137
+        assert (seen["k1"], seen["k2"]) == (10, 2)
+        assert seen["config"] == CVRunConfig(hidden=(50, 50), mc_samples=25, steps=500)
+
     def test_config_command_mismatch(self, tmp_path, csv_path):
         out = tmp_path / "run"
         assert run_cli("toy", "--settings", "1.0,0.0", "--seeds", 1,
                        "--train-size", 40, "--test-size", 40, "--dim", 2,
                        "--steps", 5, "--mc-samples", 2, "--out", out) == 0
         assert run_cli("uci", "--config", out / "config.json") == 2
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("args,message", [
+        (["toy", "--dim", 0], "--dim must be at least 1"),
+        (["toy", "--train-size", 0], "--train-size must be at least 1"),
+        (["toy", "--test-size", 0], "--test-size must be at least 1"),
+        (["toy", "--outliers", 1.5], "--outliers must be in [0, 1)"),
+        (["uci", "--k1", 1], "--k1 must be at least 2"),
+        (["uci", "--k2", 1], "--k2 must be at least 2"),
+        (["uci", "--grid-step", 0], "--grid-step must be positive"),
+        (["uci", "--hidden", 4, 0], "--hidden sizes must be at least 1"),
+        (["uci", "--k1", 100], "--k1 100 x --k2 2 folds need at least 200 rows"),
+    ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else None)
+    def test_bad_argument_exits_2_naming_the_flag(self, tmp_path, capsys, args, message):
+        path = tmp_path / "data.csv"
+        save_csv(gen_nonlinear(40, 3, seed=11), path)
+        extra = ["--csv", path] if args[0] == "uci" else []
+        assert run_cli(*args, *extra, "--out", tmp_path / "x") == 2
+        assert message in capsys.readouterr().err
+
+
+class TestTrainingDivergedWritesError:
+    @pytest.mark.parametrize("command", ["toy", "uci"])
+    def test_error_json_and_numerical_exit(self, tmp_path, capsys, monkeypatch, command):
+        def train(*args, **kwargs):
+            raise TrainingDiverged("forced divergence", None)
+
+        monkeypatch.setattr(experiments, "train", train)
+        path = tmp_path / "data.csv"
+        save_csv(gen_nonlinear(40, 3, seed=11), path)
+        args, message = {
+            "toy": (["toy", "--settings", "1.0,0.0", "--seeds", 1], "forced divergence"),
+            "uci": (["uci", "--csv", path, "--k1", 2], "no trainable cell in outer fold 0"),
+        }[command]
+        out = tmp_path / "run"
+        assert run_cli(*args, "--out", out) == 3
+        assert message in read_json(out / "error.json")["error"]
+        assert "numerical error" in capsys.readouterr().err

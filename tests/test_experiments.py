@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sabvi import experiments
 from sabvi.experiments import (
     CSVFormatError,
     CVRunConfig,
@@ -22,6 +23,7 @@ from sabvi.experiments import (
     run_toy_experiment,
     save_csv,
 )
+from sabvi.vi import TrainingDiverged
 
 TOY_W = 0.5
 
@@ -192,6 +194,10 @@ class TestToyExperiment:
         maes = [r["mae_mean"] for r in res["rows"]]
         assert abs(maes[0] - maes[1]) < 0.05
 
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            run_toy_experiment([(1.0, 0.0)], [])
+
     def test_structure_and_determinism(self):
         cfg = ToyRunConfig(n_train=60, n_test=60, dim=2, mc_samples=3, steps=30,
                            predict_draws=50)
@@ -255,6 +261,71 @@ class TestNestedCV:
         spec = GridSearchSpec(alpha_range=(1.0, 1.0), beta_range=(0.0, 0.0), step=0.5)
         with pytest.raises(ValueError):
             nested_cv(self._tiny_dataset(n=5), spec, k1=3, k2=2, seed=0)
+
+    def test_constant_feature_inside_a_fold_is_named(self):
+        # 'spike' varies only through one row, so the outer fold that holds
+        # that row out trains on a constant column
+        ds = self._tiny_dataset()
+        spike = np.zeros((ds.n, 1))
+        spike[0] = 1.0
+        ds = Dataset.raw(np.hstack([ds.X, spike]), ds.y, ds.outlier_mask,
+                         feature_names=("a", "b", "c", "spike"))
+        spec = GridSearchSpec(alpha_range=(1.0, 1.0), beta_range=(0.0, 0.0), step=0.5)
+        cfg = CVRunConfig(hidden=(3,), mc_samples=2, steps=2, predict_draws=5)
+        with pytest.raises(ValueError, match="zero variance feature 'spike'"):
+            nested_cv(ds, spec, k1=2, k2=2, config=cfg, seed=1)
+
+    # three cells (0.5, 0.25), (1, 0.25), (1.5, 0.25) that share each split
+    FAIL_GRID = GridSearchSpec(alpha_range=(0.5, 1.5), beta_range=(0.25, 0.25), step=0.5)
+    FAIL_CONFIG = CVRunConfig(hidden=(3,), mc_samples=2, steps=5, predict_draws=10)
+
+    def _diverge_on(self, monkeypatch, failing):
+        real_train = experiments.train
+
+        def train(params, *args, **kwargs):
+            if failing(params):
+                raise TrainingDiverged("forced divergence", None)
+            return real_train(params, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", train)
+
+    def test_always_failing_cell_is_excluded_and_never_selected(self, monkeypatch):
+        bad = (1.0, 0.25)
+        self._diverge_on(monkeypatch, lambda p: (p.alpha, p.beta) == bad)
+        rep = nested_cv(self._tiny_dataset(), self.FAIL_GRID, k1=2, k2=2,
+                        config=self.FAIL_CONFIG, seed=5, collect_reports=True)
+        assert rep.excluded_cells == [list(bad)]
+        assert rep.warnings == [
+            "cell (alpha=1.0, beta=0.25) failed 4/4 fits; excluded from selection"]
+        (row,) = [c for c in rep.cells if (c["alpha"], c["beta"]) == bad]
+        assert (row["failures"], row["n_scores"], row["val_rmse_mean"]) == (4, 0, None)
+        assert tuple(rep.selected) != bad
+        assert all(tuple(f["selected"]) != bad for f in rep.folds)
+        assert all((r["alpha"], r["beta"]) != bad for r in rep.train_reports)
+
+    def test_cell_failing_half_its_fits_stays_selectable(self, monkeypatch):
+        # both inner fits of outer fold 0 fail, both of fold 1 succeed: 2/4
+        # is not more than half, so the cell is scored and not excluded
+        seen = []
+
+        def failing(p):
+            if (p.alpha, p.beta) != (1.5, 0.25):
+                return False
+            seen.append(p)
+            return len(seen) <= 2
+
+        self._diverge_on(monkeypatch, failing)
+        rep = nested_cv(self._tiny_dataset(), self.FAIL_GRID, k1=2, k2=2,
+                        config=self.FAIL_CONFIG, seed=5)
+        assert rep.excluded_cells == [] and rep.warnings == []
+        (row,) = [c for c in rep.cells if (c["alpha"], c["beta"]) == (1.5, 0.25)]
+        assert (row["failures"], row["n_scores"]) == (2, 2)
+
+    def test_every_cell_failing_is_reported(self, monkeypatch):
+        self._diverge_on(monkeypatch, lambda p: True)
+        with pytest.raises(TrainingDiverged, match="no trainable cell in outer fold 0"):
+            nested_cv(self._tiny_dataset(), self.FAIL_GRID, k1=2, k2=2,
+                      config=self.FAIL_CONFIG, seed=5)
 
 
 class TestDataset:

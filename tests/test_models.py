@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,15 @@ class TestPredict:
     def test_draw_count_validated(self):
         with pytest.raises(ValueError):
             PredictiveSummary(np.zeros(2), np.zeros(2), 0)
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_empty_draw_count_rejected_before_evaluating(self, draws):
+        q = MeanFieldGaussian(np.zeros(3), np.zeros(3))
+        # a RuntimeWarning from an empty mean would be an error here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+                predict(q, BLRModel(input_dim=2), np.zeros((4, 2)), draws=draws, seed=0)
 
     @pytest.mark.parametrize("draws", [1, 31, 32, 33, 200])
     @pytest.mark.parametrize("model", [BLRModel(input_dim=3), BNNModel((3, 4, 1)),
