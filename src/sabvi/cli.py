@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gradcheck
 from .density_fit import FitObjective, Gaussian1D, fit_gaussian
-from .density_spec import GridSpec, SpecError, parse_density_spec, tabulate_pair
+from .density_spec import SpecError, parse_density_spec, shared_grid, tabulate, tabulate_pair
 from .divergence import (
     DivergenceParams,
     DomainError,
@@ -131,11 +131,7 @@ def cmd_fit_density(config: dict, outdir: Path) -> int:
         raise ConfigError(str(exc)) from exc
 
     spec = parse_density_spec(config["target"])
-    if isinstance(spec, GridSpec):
-        target = spec.density
-    else:
-        lo, hi = spec.range_hint(10.0)
-        target = spec.tabulate(lo, hi, config["grid_points"])
+    target = tabulate(spec, *shared_grid([spec], config["grid_points"]))
 
     init = None
     if config.get("init_mu") is not None:

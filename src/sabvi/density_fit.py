@@ -31,6 +31,7 @@ from scipy.special import log_ndtr
 
 from .divergence import (
     DEFAULT_GRID_POINTS,
+    LOG_FLOOR,
     DivergenceParams,
     DomainError,
     EvaluationError,
@@ -239,11 +240,12 @@ def _dlogq_dphi(q: Gaussian1D, x: np.ndarray) -> np.ndarray:
 class FitEvaluator:
     """Fused value and gradient of one objective against one fixed target.
 
-    Built once per fit: keeps the grid, the quadrature log weights and, for
-    the sAB branch, the target-only power term log I(p^(a+b)).  Gamma fits
-    take that branch at (1, b) on the normalized measure; the sAB value
-    does not depend on the measure's scale.  Each call tabulates q once and
-    exponentiates each q-dependent power term once; the term's log
+    Built once per fit: keeps the grid, the target's log values, the
+    quadrature log weights and, for the sAB branch, the target-only power
+    term log I(p^(a+b)).  Gamma fits take that branch at (1, b) on the
+    normalized measure; the sAB value does not depend on the measure's
+    scale.  Each call tabulates q once, floored as `GridDensity` floors
+    it, and exponentiates each q-dependent power term once; the term's log
     integral goes into the value and its softmax weights into the
     gradient.  Values and floored-tail checks are those of the `eval_*`
     functions behind `divergence_value`.
@@ -251,7 +253,7 @@ class FitEvaluator:
 
     def __init__(self, objective: FitObjective, p: GridDensity):
         self.objective = objective
-        self.p = p
+        self.lp = p.log_values
         self.x = p.x
         sab = objective.kind not in ("kl", "renyi")
         measure = QuadratureMeasure.trapezoid(p, normalized=sab)
@@ -259,26 +261,26 @@ class FitEvaluator:
         self.log_w = measure.log_weights
         # q enters the target-only term with exponent 0, so p fills both slots
         if sab:
-            self.t_target = _power_lse(0.0, objective.alpha + objective.beta, p, p,
-                                       self.log_w, "second-density power term")[0]
+            self.t_target = _power_lse(0.0, objective.alpha + objective.beta, self.lp,
+                                       self.lp, self.log_w, "second-density power term")[0]
 
     def value_and_grad(self, q: Gaussian1D) -> tuple[float, np.ndarray]:
         """(divergence_value, analytic_gradient) at q, in one pass."""
         kind, a, b = self.objective.kind, self.objective.alpha, self.objective.beta
-        p, log_w = self.p, self.log_w
-        qd = GridDensity(p.lo, p.hi, q.log_pdf(self.x))
+        lp, log_w = self.lp, self.log_w
+        lq = np.maximum(q.log_pdf(self.x), LOG_FLOOR)
         g = _dlogq_dphi(q, self.x)
 
         if kind == "kl":
-            e = np.exp(qd.log_values)
-            d = qd.log_values - p.log_values
+            e = np.exp(lq)
+            d = lq - lp
             return float(np.dot(self.w, e * d)), g @ (self.w * (e * (d + 1.0)))
         if kind == "renyi":
-            t, s = _power_lse(a, 1.0 - a, qd, p, log_w, "Renyi cross term")
+            t, s = _power_lse(a, 1.0 - a, lq, lp, log_w, "Renyi cross term")
             return t / (a - 1.0), (a / (a - 1.0)) * (g @ s)
         lam = a + b
-        t_q, s_q = _power_lse(lam, 0.0, qd, p, log_w, "first-density power term")
-        t_c, s_c = _power_lse(a, b, qd, p, log_w, "cross term")
+        t_q, s_q = _power_lse(lam, 0.0, lq, lp, log_w, "first-density power term")
+        t_c, s_c = _power_lse(a, b, lq, lp, log_w, "cross term")
         value = t_q / (b * lam) + self.t_target / (a * lam) - t_c / (a * b)
         if not math.isfinite(value):
             raise EvaluationError(
@@ -337,18 +339,17 @@ class FitResult:
 
 
 def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None,
-                 opt: AdamConfig | None = None, max_iters: int = 5000,
-                 grid_points: int = DEFAULT_GRID_POINTS) -> FitResult:
+                 opt: AdamConfig | None = None, max_iters: int = 5000) -> FitResult:
     """Minimize the objective over (mu, log sigma) with ADAM.
 
-    `target` is a SkewMixtureTarget or an already tabulated GridDensity.
+    `target` is a SkewMixtureTarget (put on its default grid) or a GridDensity.
     Converges when the gradient sup-norm drops below GRADIENT_TOL.  An
     evaluation error mid-run aborts and re-raises with the partial result
     attached as ``exc.partial_result``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    p = target.tabulate(grid_points) if isinstance(target, SkewMixtureTarget) else target
+    p = target.tabulate() if isinstance(target, SkewMixtureTarget) else target
     if init is None:
         init = moment_matched_init(p)
     if opt is None:

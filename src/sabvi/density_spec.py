@@ -10,6 +10,10 @@ A density is a JSON object:
 On the command line a spec can also be the shorthand ``gaussian:MU,SIGMA``,
 the word ``mixture:default`` for the stock two-component skew target, a
 path prefixed with ``@``, or an inline JSON object.
+
+A spec parses to a `SkewMixtureTarget`, a `GaussianSpec` (both have
+``grid_range(span)`` and ``log_pdf(x)``, so they go on any grid) or a
+`GridDensity`, validated here once, which carries its own grid.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import numpy as np
 
 from .density_fit import SkewComponent, SkewMixtureTarget
-from .divergence import DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, GridDensity
+from .divergence import DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, GridDensity, gaussian_log_pdf
 
 
 class SpecError(ValueError):
@@ -33,37 +37,11 @@ class GaussianSpec:
         self.mean = float(mean)
         self.stddev = float(stddev)
 
-    def range_hint(self, span: float) -> tuple[float, float]:
+    def grid_range(self, span: float) -> tuple[float, float]:
         return self.mean - span * self.stddev, self.mean + span * self.stddev
 
-    def tabulate(self, lo, hi, n) -> GridDensity:
-        return GridDensity.gaussian(self.mean, self.stddev, lo, hi, n)
-
-
-class MixtureSpec:
-    def __init__(self, target: SkewMixtureTarget):
-        self.target = target
-
-    def range_hint(self, span: float) -> tuple[float, float]:
-        return self.target.grid_range(span)
-
-    def tabulate(self, lo, hi, n) -> GridDensity:
-        return GridDensity.from_callable(self.target.log_pdf, lo, hi, n)
-
-
-class GridSpec:
-    def __init__(self, density: GridDensity):
-        self.density = density
-
-    def range_hint(self, span: float) -> tuple[float, float]:
-        return self.density.lo, self.density.hi
-
-    def tabulate(self, lo, hi, n) -> GridDensity:
-        d = self.density
-        if (lo, hi, n) != (d.lo, d.hi, d.n):
-            raise SpecError("grid-kind densities carry their own grid; "
-                            "pair them only with densities that can be retabulated")
-        return d
+    def log_pdf(self, x):
+        return gaussian_log_pdf(x, self.mean, self.stddev)
 
 
 def parse_density_spec(text):
@@ -77,7 +55,7 @@ def parse_density_spec(text):
                 raise SpecError(f"bad gaussian shorthand {text!r}; want gaussian:MU,SIGMA") from None
             return GaussianSpec(mu, sigma)
         if text == "mixture:default":
-            return MixtureSpec(SkewMixtureTarget.default())
+            return SkewMixtureTarget.default()
         if text.startswith("@"):
             with open(text[1:]) as fh:
                 obj = json.load(fh)
@@ -95,30 +73,41 @@ def parse_density_spec(text):
         if kind == "gaussian":
             return GaussianSpec(obj["mean"], obj["stddev"])
         if kind == "mixture":
-            comps = tuple(SkewComponent(c["weight"], c["location"], c["scale"], c["shape"])
-                          for c in obj["components"])
-            return MixtureSpec(SkewMixtureTarget(comps))
+            return SkewMixtureTarget(tuple(
+                SkewComponent(c["weight"], c["location"], c["scale"], c["shape"])
+                for c in obj["components"]))
         if kind == "grid":
-            return GridSpec(GridDensity(float(obj["lo"]), float(obj["hi"]),
-                                        np.asarray(obj["log_values"], dtype=float)))
+            return GridDensity(float(obj["lo"]), float(obj["hi"]),
+                               np.asarray(obj["log_values"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad {kind!r} density spec: {exc}") from exc
     raise SpecError(f"unknown density kind {kind!r}")
 
 
+def shared_grid(specs, n: int = DEFAULT_GRID_POINTS,
+                span: float = DEFAULT_GRID_SPAN) -> tuple[float, float, int]:
+    """(lo, hi, n) of one grid for all the specs: the first grid density's
+    own grid, else n points over the union of the specs' ranges."""
+    for spec in specs:
+        if isinstance(spec, GridDensity):
+            return spec.lo, spec.hi, spec.n
+    ranges = [spec.grid_range(span) for spec in specs]
+    return min(lo for lo, _ in ranges), max(hi for _, hi in ranges), n
+
+
+def tabulate(spec, lo: float, hi: float, n: int) -> GridDensity:
+    """The spec on the grid of n points over [lo, hi]; a grid density must
+    already be on it."""
+    if not isinstance(spec, GridDensity):
+        return GridDensity.from_callable(spec.log_pdf, lo, hi, n)
+    if (lo, hi, n) != (spec.lo, spec.hi, spec.n):
+        raise SpecError("grid-kind densities carry their own grid; "
+                        "pair them only with densities that can be retabulated")
+    return spec
+
+
 def tabulate_pair(spec_p, spec_q, n: int = DEFAULT_GRID_POINTS,
                   span: float = DEFAULT_GRID_SPAN) -> tuple[GridDensity, GridDensity]:
-    """Put two density specs on one shared grid.
-
-    A grid-kind spec pins the grid (two grid specs must agree); otherwise
-    the grid covers the union of both range hints.
-    """
-    grids = [s for s in (spec_p, spec_q) if isinstance(s, GridSpec)]
-    if grids:
-        d = grids[0].density
-        lo, hi, n = d.lo, d.hi, d.n
-    else:
-        lo_p, hi_p = spec_p.range_hint(span)
-        lo_q, hi_q = spec_q.range_hint(span)
-        lo, hi = min(lo_p, lo_q), max(hi_p, hi_q)
-    return spec_p.tabulate(lo, hi, n), spec_q.tabulate(lo, hi, n)
+    """Put two density specs on one shared grid (two grid specs must agree)."""
+    grid = shared_grid((spec_p, spec_q), n, span)
+    return tabulate(spec_p, *grid), tabulate(spec_q, *grid)

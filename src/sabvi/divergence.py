@@ -223,26 +223,27 @@ def gaussian_pair(mu1: float, s1: float, mu2: float, s2: float,
 _FLOOR_DOMINANCE = 0.5  # weight share above which a clamped tail is fatal
 
 
-def _power_lse(c_p: float, c_q: float, p: GridDensity, q: GridDensity,
+def _power_lse(c_p: float, c_q: float, lp: np.ndarray, lq: np.ndarray,
                log_w: np.ndarray, term: str) -> tuple[float, np.ndarray]:
     """log I(p^c_p q^c_q) and the normalized weights w p^c_p q^c_q / I.
 
-    One exponentiation serves both.  Raises EvaluationError when every
+    lp and lq are floored log-value vectors on the grid of log_w.  One
+    exponentiation serves both results.  Raises EvaluationError when every
     node is at the floor, or when log-floor nodes under a negative
     exponent carry most of the stabilized sum.
     """
     expo = log_w
     if c_p != 0.0:
-        expo = expo + c_p * p.log_values
+        expo = expo + c_p * lp
     if c_q != 0.0:
-        expo = expo + c_q * q.log_values
+        expo = expo + c_q * lq
     m = np.max(expo)
     if m == -np.inf:
         raise EvaluationError(f"{term}: no mass to integrate (all nodes at the floor)")
     z = np.exp(expo - m)
     total = z.sum()
     if c_p < 0 or c_q < 0:
-        explosive = ((c_p < 0) & p.floored) | ((c_q < 0) & q.floored)
+        explosive = ((c_p < 0) & (lp <= LOG_FLOOR)) | ((c_q < 0) & (lq <= LOG_FLOOR))
         if z[explosive].sum() > _FLOOR_DOMINANCE * total:
             raise EvaluationError(
                 f"{term}: stabilized sum dominated by log-floor nodes "
@@ -250,9 +251,11 @@ def _power_lse(c_p: float, c_q: float, p: GridDensity, q: GridDensity,
     return float(m + np.log(total)), z / total
 
 
-def _require_shared_grid(p: GridDensity, q: GridDensity):
+def _log_values(p: GridDensity, q: GridDensity) -> tuple[np.ndarray, np.ndarray]:
+    """The two densities' log values, once they are known to share a grid."""
     if not p.same_grid(q):
         raise ValueError("densities must be tabulated on the same grid")
+    return p.log_values, q.log_values
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
     * a = b = 0:   half the variance of log(p/q) under the reference
                    measure
     """
-    _require_shared_grid(p, q)
+    lp, lq = _log_values(p, q)
     if measure is None:
         measure = QuadratureMeasure.trapezoid(p)
     log_w = measure.log_weights
@@ -284,26 +287,23 @@ def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
     region = classify_region(params)
 
     if region is Region.GENERIC:
-        t_p = _power_lse(lam, 0.0, p, q, log_w, "first-density power term")[0]
-        t_q = _power_lse(0.0, lam, p, q, log_w, "second-density power term")[0]
-        t_c = _power_lse(a, b, p, q, log_w, "cross term")[0]
+        t_p = _power_lse(lam, 0.0, lp, lq, log_w, "first-density power term")[0]
+        t_q = _power_lse(0.0, lam, lp, lq, log_w, "second-density power term")[0]
+        t_c = _power_lse(a, b, lp, lq, log_w, "cross term")[0]
         value = t_p / (b * lam) + t_q / (a * lam) - t_c / (a * b)
     elif region is Region.SUM_ZERO:
-        d = p.log_values - q.log_values
-        t = _power_lse(a, -a, p, q, log_w, "ratio power term")[0]
-        value = (t - a * float(np.dot(w, d))) / (a * a)
+        t = _power_lse(a, -a, lp, lq, log_w, "ratio power term")[0]
+        value = (t - a * float(np.dot(w, lp - lq))) / (a * a)
     elif region is Region.BETA_ZERO:
-        t_q = _power_lse(0.0, a, p, q, log_w, "second-density power term")[0]
-        t_p, s = _power_lse(a, 0.0, p, q, log_w, "first-density power term")
-        d = p.log_values - q.log_values
-        value = (t_q - t_p) / (a * a) + float(np.dot(s, d)) / a
+        t_q = _power_lse(0.0, a, lp, lq, log_w, "second-density power term")[0]
+        t_p, s = _power_lse(a, 0.0, lp, lq, log_w, "first-density power term")
+        value = (t_q - t_p) / (a * a) + float(np.dot(s, lp - lq)) / a
     elif region is Region.ALPHA_ZERO:
-        t_p = _power_lse(b, 0.0, p, q, log_w, "first-density power term")[0]
-        t_q, s = _power_lse(0.0, b, p, q, log_w, "second-density power term")
-        d = q.log_values - p.log_values
-        value = (t_p - t_q) / (b * b) + float(np.dot(s, d)) / b
+        t_p = _power_lse(b, 0.0, lp, lq, log_w, "first-density power term")[0]
+        t_q, s = _power_lse(0.0, b, lp, lq, log_w, "second-density power term")
+        value = (t_p - t_q) / (b * b) + float(np.dot(s, lq - lp)) / b
     else:  # BOTH_ZERO
-        d = p.log_values - q.log_values
+        d = lp - lq
         m1 = float(np.dot(w, d))
         m2 = float(np.dot(w, d * d))
         value = 0.5 * (m2 - m1 * m1)
@@ -330,18 +330,17 @@ def _dx_log_weights(p: GridDensity) -> np.ndarray:
 
 def eval_kl(p: GridDensity, q: GridDensity) -> float:
     """KL(p || q) = integral of p log(p/q)."""
-    _require_shared_grid(p, q)
+    lp, lq = _log_values(p, q)
     w = QuadratureMeasure.trapezoid(p, normalized=False).weights
-    d = p.log_values - q.log_values
-    return float(np.dot(w, np.exp(p.log_values) * d))
+    return float(np.dot(w, np.exp(lp) * (lp - lq)))
 
 
 def eval_renyi(alpha: float, p: GridDensity, q: GridDensity) -> float:
     """Renyi divergence of order alpha: log integral of p^a q^(1-a) / (a-1)."""
     if alpha in (0.0, 1.0):
         raise DomainError("Renyi order must avoid {0, 1}")
-    _require_shared_grid(p, q)
-    t = _power_lse(alpha, 1.0 - alpha, p, q, _dx_log_weights(p), "Renyi cross term")[0]
+    lp, lq = _log_values(p, q)
+    t = _power_lse(alpha, 1.0 - alpha, lp, lq, _dx_log_weights(p), "Renyi cross term")[0]
     return t / (alpha - 1.0)
 
 
@@ -349,33 +348,33 @@ def eval_gamma(beta: float, p: GridDensity, q: GridDensity) -> float:
     """Gamma divergence of order beta (robust, scale invariant)."""
     if beta in (0.0, -1.0):
         raise DomainError("gamma order must avoid {0, -1}")
-    _require_shared_grid(p, q)
+    lp, lq = _log_values(p, q)
     log_w = _dx_log_weights(p)
-    t_p = _power_lse(beta + 1.0, 0.0, p, q, log_w, "gamma p-power term")[0]
-    t_q = _power_lse(0.0, beta + 1.0, p, q, log_w, "gamma q-power term")[0]
-    t_c = _power_lse(1.0, beta, p, q, log_w, "gamma cross term")[0]
+    t_p = _power_lse(beta + 1.0, 0.0, lp, lq, log_w, "gamma p-power term")[0]
+    t_q = _power_lse(0.0, beta + 1.0, lp, lq, log_w, "gamma q-power term")[0]
+    t_c = _power_lse(1.0, beta, lp, lq, log_w, "gamma cross term")[0]
     return t_p / (beta * (beta + 1.0)) + t_q / (beta + 1.0) - t_c / beta
 
 
 def eval_hellinger(p: GridDensity, q: GridDensity) -> float:
     """Squared Hellinger-type distance 1 - integral of sqrt(p q)."""
-    _require_shared_grid(p, q)
-    t = _power_lse(0.5, 0.5, p, q, _dx_log_weights(p), "Hellinger affinity")[0]
+    lp, lq = _log_values(p, q)
+    t = _power_lse(0.5, 0.5, lp, lq, _dx_log_weights(p), "Hellinger affinity")[0]
     return 1.0 - math.exp(t)
 
 
 def eval_chisq(p: GridDensity, q: GridDensity) -> float:
     """Pearson chi-square divergence: integral of p^2/q, minus one."""
-    _require_shared_grid(p, q)
-    t = _power_lse(2.0, -1.0, p, q, _dx_log_weights(p), "chi-square term")[0]
+    lp, lq = _log_values(p, q)
+    t = _power_lse(2.0, -1.0, lp, lq, _dx_log_weights(p), "chi-square term")[0]
     return math.exp(t) - 1.0
 
 
 def eval_log_euclidean(p: GridDensity, q: GridDensity) -> float:
     """Half the integral of (log p - log q)^2 over the grid interval."""
-    _require_shared_grid(p, q)
+    lp, lq = _log_values(p, q)
     w = QuadratureMeasure.trapezoid(p, normalized=False).weights
-    d = p.log_values - q.log_values
+    d = lp - lq
     return 0.5 * float(np.dot(w, d * d))
 
 

@@ -41,14 +41,10 @@ TOY_OUTLIER_X_SIGMA = 0.2
 
 @dataclass(frozen=True)
 class Dataset:
-    """A regression table plus the normalization and corruption bookkeeping."""
+    """A regression table plus the corruption bookkeeping."""
 
     X: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    feature_means: np.ndarray = field(repr=False)
-    feature_stds: np.ndarray = field(repr=False)
-    y_mean: float
-    y_std: float
     outlier_mask: np.ndarray = field(repr=False)
     feature_names: tuple[str, ...] | None = None
 
@@ -58,8 +54,6 @@ class Dataset:
         mask = np.asarray(self.outlier_mask, dtype=bool)
         if X.ndim != 2 or y.shape != (X.shape[0],) or mask.shape != y.shape:
             raise ValueError("inconsistent dataset dimensions")
-        if np.any(np.asarray(self.feature_stds) <= 0) or self.y_std <= 0:
-            raise ValueError("normalization stds must be positive")
         for name, arr in (("X", X), ("y", y), ("outlier_mask", mask)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -79,13 +73,9 @@ class Dataset:
 
     @classmethod
     def raw(cls, X, y, mask=None, feature_names=None) -> "Dataset":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
         if mask is None:
-            mask = np.zeros(y.size, dtype=bool)
-        return cls(X=X, y=y, feature_means=np.zeros(X.shape[1]),
-                   feature_stds=np.ones(X.shape[1]), y_mean=0.0, y_std=1.0,
-                   outlier_mask=mask, feature_names=feature_names)
+            mask = np.zeros(np.size(y), dtype=bool)
+        return cls(X=X, y=y, outlier_mask=mask, feature_names=feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +196,7 @@ def normalize(dataset: Dataset) -> Dataset:
     x_mean, x_std, y_mean, y_std = _moments(dataset)
     return replace(dataset,
                    X=(dataset.X - x_mean) / x_std,
-                   y=(dataset.y - y_mean) / y_std,
-                   feature_means=x_mean, feature_stds=x_std,
-                   y_mean=y_mean, y_std=y_std)
-
-
-def denormalize_y(dataset: Dataset, y: np.ndarray) -> np.ndarray:
-    return np.asarray(y) * dataset.y_std + dataset.y_mean
+                   y=(dataset.y - y_mean) / y_std)
 
 
 def corrupt(dataset: Dataset, p: float, seed: int) -> Dataset:

@@ -309,20 +309,39 @@ class BNNModel:
 # ---------------------------------------------------------------------------
 
 
+def _positive(name: str, value):
+    """A model config number, checked finite and positive."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > 0)):
+        raise ValueError(f"model config field {name!r} must be a finite positive "
+                         f"number, got {value!r}")
+    return value
+
+
 def model_from_config(config: dict):
     """Build a model from its configuration dict (kinds: "blr", "bnn")."""
+    if not isinstance(config, dict):
+        raise ValueError(f"model config must be a JSON object, got {type(config).__name__}")
     kind = config.get("kind")
+
+    def number(name, default=None):
+        return _positive(name, config[name] if default is None else config.get(name, default))
+
     try:
         if kind == "blr":
-            return BLRModel(input_dim=int(config["input_dim"]),
-                            prior_w_sigma=config.get("prior_w_sigma", 1.0),
-                            prior_b_sigma=config.get("prior_b_sigma", 1.0),
-                            noise_sigma=config.get("noise_sigma", 0.1),
+            return BLRModel(input_dim=int(number("input_dim")),
+                            prior_w_sigma=number("prior_w_sigma", 1.0),
+                            prior_b_sigma=number("prior_b_sigma", 1.0),
+                            noise_sigma=number("noise_sigma", 0.1),
                             include_bias=config.get("include_bias", True))
         if kind == "bnn":
-            return BNNModel(layer_sizes=tuple(config["layer_sizes"]),
-                            prior_sigma=config.get("prior_sigma", 1.0),
-                            noise_log_sigma=math.log(config.get("noise_sigma", 0.1)),
+            sizes = config["layer_sizes"]
+            if not isinstance(sizes, list):
+                raise ValueError(f"model config field 'layer_sizes' must be a list, "
+                                 f"got {sizes!r}")
+            return BNNModel(layer_sizes=tuple(_positive("layer_sizes", s) for s in sizes),
+                            prior_sigma=number("prior_sigma", 1.0),
+                            noise_log_sigma=math.log(number("noise_sigma", 0.1)),
                             learn_noise=config.get("learn_noise", False))
     except KeyError as exc:
         raise ValueError(f"model config missing field {exc}") from exc

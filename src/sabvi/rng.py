@@ -96,4 +96,5 @@ class NoiseStream:
 
 
 def noise_block(seed: int, stream: int, step: int, n_samples: int, dim: int) -> NoiseBlock:
-    return NoiseStream(seed, stream).block(step, n_samples, dim)
+    """One block from a fresh generator, for one-off draws outside a training."""
+    return NoiseBlock(generator(seed, stream, step).standard_normal((n_samples, dim)))

@@ -82,6 +82,18 @@ class TestDivergenceCommand:
         assert "--grid-points must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_specs_on_different_grids_are_config_error(self, tmp_path, capsys):
+        def grid(n):
+            x = np.linspace(-3.0, 3.0, n)
+            return json.dumps({"kind": "grid", "lo": -3.0, "hi": 3.0, "n": n,
+                               "log_values": gaussian_log_pdf(x, 0.0, 1.0).tolist()})
+
+        out = tmp_path / "x"
+        assert run_cli("divergence", "--alpha", 1.1, "--beta", 0.4, "--p", grid(201),
+                       "--q", grid(101), "--out", out) == 2
+        assert "grid-kind densities carry their own grid" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
     def test_json_density_specs(self, tmp_path):
         out = tmp_path / "run"
         p = json.dumps({"kind": "gaussian", "mean": 0.0, "stddev": 1.0})
@@ -293,7 +305,20 @@ class TestUciCommand:
         # the grid search trains with a unit prior; another one would be ignored
         ({"kind": "bnn", "layer_sizes": [3, 4, 1], "prior_sigma": 2.0}, "prior_sigma 2.0"),
         ({"kind": "gp"}, "unknown model kind 'gp'"),
-    ], ids=["prior_sigma", "kind"])
+        ([1, 2], "model config must be a JSON object, got list"),
+        ("bnn", "model config must be a JSON object, got str"),
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "noise_sigma": "x"},
+         "field 'noise_sigma' must be a finite positive number, got 'x'"),
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "noise_sigma": -1},
+         "field 'noise_sigma' must be a finite positive number, got -1"),
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "prior_sigma": math.nan},
+         "field 'prior_sigma' must be a finite positive number, got nan"),
+        ({"kind": "bnn", "layer_sizes": 3}, "field 'layer_sizes' must be a list, got 3"),
+        ({"kind": "bnn", "layer_sizes": [3, None, 1]},
+         "field 'layer_sizes' must be a finite positive number, got None"),
+    ], ids=["prior_sigma", "kind", "list", "string", "noise_sigma_string",
+            "noise_sigma_negative", "prior_sigma_nan", "layer_sizes_number",
+            "layer_sizes_null"])
     def test_bad_model_config_is_config_error(self, tmp_path, csv_path, capsys, config,
                                               message):
         model_cfg = tmp_path / "model.json"

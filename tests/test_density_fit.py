@@ -144,6 +144,7 @@ def _objectives(draw):
 
 
 _GAUSSIANS = st.builds(Gaussian1D, st.floats(-3.0, 3.0), st.floats(-3.0, 0.7))
+_FLOORED_Q = Gaussian1D(-1.0, math.log(0.02))
 
 
 def _fused_checked_against_reference(objective, q, p):
@@ -165,6 +166,13 @@ class TestFusedEvaluator:
 
     @settings(max_examples=150, deadline=None)
     @given(objective=_objectives(), q=_GAUSSIANS)
+    # a narrow q floored at 775 of the 801 nodes: the fused path floors q
+    # itself, and must raise or agree exactly as the reference does
+    @example(objective=FitObjective.sab(-0.5, 1.5), q=_FLOORED_Q)
+    @example(objective=FitObjective.renyi(-0.5), q=_FLOORED_Q)
+    @example(objective=FitObjective.sab(1.5, 0.5), q=_FLOORED_Q)
+    @example(objective=FitObjective.kl(), q=_FLOORED_Q)
+    @example(objective=FitObjective.gamma(0.5), q=_FLOORED_Q)
     def test_value_matches_reference_and_grad_is_analytic_gradient(self, objective, q):
         p = SkewMixtureTarget.default().tabulate(801)
         fused = _fused_checked_against_reference(objective, q, p)
@@ -175,6 +183,12 @@ class TestFusedEvaluator:
     @given(objective=_objectives(), q=_GAUSSIANS)
     @example(objective=FitObjective.sab(1.5, -0.5), q=Gaussian1D(2.5, math.log(0.3)))
     @example(objective=FitObjective.sab(1.5, 0.5), q=Gaussian1D(1.0, math.log(0.3)))
+    @example(objective=FitObjective.sab(1.5, -0.5), q=Gaussian1D(1.0, math.log(0.02)))
+    @example(objective=FitObjective.kl(), q=Gaussian1D(1.0, math.log(0.02)))
+    # q and the target both floored, on disjoint sides: the floored
+    # products carry the value, so an unfloored q would change it
+    @example(objective=FitObjective.renyi(0.5), q=Gaussian1D(2.5, math.log(0.02)))
+    @example(objective=FitObjective.sab(0.5, 1.5), q=Gaussian1D(2.5, math.log(0.02)))
     def test_floored_target_raises_exactly_when_reference_does(self, objective, q):
         x = np.linspace(-4.0, 4.0, 801)
         log_values = np.where(x > 1.2, -700.0, gaussian_log_pdf(x, 1.1, 0.3))

@@ -13,7 +13,6 @@ from sabvi.experiments import (
     OUTLIER_SHIFT,
     ToyRunConfig,
     corrupt,
-    denormalize_y,
     gen_nonlinear,
     gen_toy,
     load_csv,
@@ -109,11 +108,6 @@ class TestCSVAndNormalization:
         np.testing.assert_allclose(ds.X.std(axis=0), 1.0, atol=1e-10)
         assert abs(ds.y.mean()) < 1e-10
         assert ds.y.std() == pytest.approx(1.0, abs=1e-10)
-
-    def test_denormalize_roundtrip(self):
-        raw = gen_nonlinear(100, 3, seed=5)
-        ds = normalize(raw)
-        np.testing.assert_allclose(denormalize_y(ds, ds.y), raw.y, atol=1e-12)
 
 
 class TestCorrupt:
