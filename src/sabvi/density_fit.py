@@ -102,6 +102,9 @@ class SkewComponent:
     def __post_init__(self):
         if not 0.0 < self.weight <= 1.0:
             raise ValueError("component weight must be in (0, 1]")
+        for name in ("location", "scale", "shape"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"component {name} must be finite, got {getattr(self, name)}")
         if self.scale <= 0:
             raise ValueError("component scale must be positive")
 
@@ -362,7 +365,7 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     converged = False
     iterations = 0
     for _ in range(max_iters):
-        q = Gaussian1D(state.params[0], state.params[1])
+        q = Gaussian1D(*state.params[0])
         try:
             value, grad = evaluator.value_and_grad(q)
         except EvaluationError as exc:
@@ -374,6 +377,6 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
         if np.max(np.abs(grad)) < GRADIENT_TOL:
             converged = True
             break
-        state = adam_step(state, grad, opt)
+        adam_step(state, grad, opt)
     return FitResult(final=q, divergence_trace=np.array(trace),
                      converged=converged, iterations=iterations)

@@ -7,6 +7,10 @@ A density is a JSON object:
         {"weight": 0.5, "location": -1.0, "scale": 0.6, "shape": 5.0}, ...]}
     {"kind": "grid", "lo": -5.0, "hi": 5.0, "n": 101, "log_values": [...]}
 
+A grid spec's ``"n"`` is optional: ``log_values`` fixes the point count,
+and an ``"n"`` that disagrees with it is an error.  Every number must be
+finite.
+
 On the command line a spec can also be the shorthand ``gaussian:MU,SIGMA``,
 the word ``mixture:default`` for the stock two-component skew target, a
 path prefixed with ``@``, or an inline JSON object.
@@ -19,6 +23,7 @@ A spec parses to a `SkewMixtureTarget`, a `GaussianSpec` (both have
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -32,10 +37,13 @@ class SpecError(ValueError):
 
 class GaussianSpec:
     def __init__(self, mean: float, stddev: float):
-        if stddev <= 0:
-            raise SpecError("gaussian stddev must be positive")
         self.mean = float(mean)
         self.stddev = float(stddev)
+        for name, value in (("mean", self.mean), ("stddev", self.stddev)):
+            if not math.isfinite(value):
+                raise SpecError(f"gaussian {name} must be finite, got {value}")
+        if self.stddev <= 0:
+            raise SpecError("gaussian stddev must be positive")
 
     def grid_range(self, span: float) -> tuple[float, float]:
         return self.mean - span * self.stddev, self.mean + span * self.stddev
@@ -77,8 +85,11 @@ def parse_density_spec(text):
                 SkewComponent(c["weight"], c["location"], c["scale"], c["shape"])
                 for c in obj["components"]))
         if kind == "grid":
-            return GridDensity(float(obj["lo"]), float(obj["hi"]),
-                               np.asarray(obj["log_values"], dtype=float))
+            log_values = np.asarray(obj["log_values"], dtype=float)
+            if "n" in obj and obj["n"] != log_values.size:
+                raise SpecError(f"n = {obj['n']!r} does not match the "
+                                f"{log_values.size} log_values")
+            return GridDensity(float(obj["lo"]), float(obj["hi"]), log_values)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad {kind!r} density spec: {exc}") from exc
     raise SpecError(f"unknown density kind {kind!r}")

@@ -4,8 +4,13 @@ The toy harness fits Bayesian linear regression to synthetic data whose
 training targets are partially shifted by a constant outlier offset, then
 scores each divergence setting on a fresh clean test draw.  The
 cross-validation harness runs a nested grid search over (alpha, beta) for
-a small Bayesian network on a corrupted regression table.  Both run every
-fit through one task, `_train_and_score`: train, predict, score.
+a small Bayesian network on a corrupted regression table.  Every fit is
+train, predict, score.  The toy harness trains one setting at a time;
+the grid search trains all cells of one data split as one batch
+(`vi.train_batch`, through `_train_and_score`), which is exact because a
+network row's log joint does not depend on the other rows of its batch.
+BLR's batched product over K rows rounds differently with the row count,
+so the toy settings are not batched.
 
 Corruption bookkeeping: `corrupt` adds OUTLIER_SHIFT to the normalized
 target at a sampled index set and records the mask, so evaluation code can
@@ -31,7 +36,7 @@ from . import rng
 from .divergence import DivergenceParams
 from .models import BLRModel, BNNModel, XYData, predict
 from .optim import AdamConfig
-from .vi import MCConfig, MeanFieldGaussian, TrainingDiverged, train
+from .vi import MCConfig, MeanFieldGaussian, TrainingDiverged, train, train_batch
 
 OUTLIER_SHIFT = 5.0
 TOY_WEIGHT = 0.5
@@ -229,20 +234,34 @@ def metrics(y_true, y_pred) -> dict:
     return {"mae": float(np.mean(np.abs(err))), "mse": mse, "rmse": math.sqrt(mse)}
 
 
-def _train_and_score(params: DivergenceParams, model, split, cfg, seed: int, stream_ids):
-    """Train on split = (X_fit, y_fit, X_eval, y_eval) and score the
-    predictive mean against y_eval: (metrics dict, training report).
+def _training_args(model, X_fit, y_fit, cfg, seed: int):
+    """What every training of a run shares: q0, model, data, MC and ADAM settings."""
+    return (MeanFieldGaussian.initial(model.dim), model, XYData(X_fit, y_fit),
+            MCConfig(cfg.mc_samples, seed),
+            AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps))
 
-    Training and prediction draw from the streams addressed by stream_ids.
+
+def _train_and_score(cells, model, split, cfg, seed: int, stream_ids):
+    """Train the cells on split = (X_fit, y_fit, X_eval, y_eval) as one batch
+    and score each predictive mean against y_eval.
+
+    Cell i trains and predicts from the streams addressed by stream_ids[i].
+    Returns one outcome per cell: (metrics dict, training report), or the
+    TrainingDiverged its training ended with.
     """
     X_fit, y_fit, X_eval, y_eval = split
-    report = train(params, MeanFieldGaussian.initial(model.dim), model, XYData(X_fit, y_fit),
-                   MCConfig(cfg.mc_samples, seed),
-                   AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
-                   stream=rng.compose_stream(rng.STREAM_TRAIN, *stream_ids))
+    outcomes = train_batch(cells, *_training_args(model, X_fit, y_fit, cfg, seed),
+                           [rng.compose_stream(rng.STREAM_TRAIN, *ids) for ids in stream_ids])
+    return [out if isinstance(out, TrainingDiverged)
+            else (_score(out, model, X_eval, y_eval, cfg, seed, ids), out)
+            for out, ids in zip(outcomes, stream_ids)]
+
+
+def _score(report, model, X_eval, y_eval, cfg, seed: int, stream_ids) -> dict:
+    """Metrics of the trained q's predictive mean against y_eval."""
     summary = predict(report.final, model, X_eval, cfg.predict_draws, seed,
                       stream=rng.compose_stream(rng.STREAM_PREDICT, *stream_ids))
-    return metrics(y_eval, summary.mean), report
+    return metrics(y_eval, summary.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +309,14 @@ def run_toy_experiment(settings: list[tuple[float, float]], seeds: list[int],
                                stream=rng.compose_stream(rng.STREAM_DATA, 0))
             test_ds = gen_toy(cfg.n_test, cfg.dim, 0.0, seed,
                               stream=rng.compose_stream(rng.STREAM_DATA, 1))
-            split = (train_ds.X, train_ds.y, test_ds.X, test_ds.y)
             try:
-                m, report = _train_and_score(params, model, split, cfg, seed, (setting_idx,))
+                report = train(params, *_training_args(model, train_ds.X, train_ds.y, cfg, seed),
+                               stream=rng.compose_stream(rng.STREAM_TRAIN, setting_idx))
             except TrainingDiverged as exc:
                 raise TrainingDiverged(
                     f"toy setting (lambda={lam}, beta={beta}) seed {seed}: {exc}",
                     exc.report) from exc
+            m = _score(report, model, test_ds.X, test_ds.y, cfg, seed, (setting_idx,))
             per_seed.append({"seed": seed, **m})
             if collect_reports:
                 reports.append(report.to_dict())
@@ -419,7 +439,10 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     cell.  Training always sees observed (corrupted) targets while
     validation and test scores use the clean ones.  The per-fold winner
     is retrained on the whole outer training split, and the KL cell is
-    scored the same way for comparison.  Every cell is tried k2 times per
+    scored the same way for comparison.  The cells of each inner split
+    train as one batch, as do the retraining and the KL baseline; every
+    training keeps its own (fold, cell, split) stream, so the results are
+    those of one training per cell.  Every cell is tried k2 times per
     fold; a cell that has failed more than half of its fits so far is not
     selectable, and one that failed more than half of all k1 * k2 is
     excluded with a recorded warning.
@@ -442,13 +465,11 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     fold_rows = []
     train_reports = [] if collect_reports else None
 
-    def fit(f, cell, role, split, stream_ids) -> float:
-        m, report = _train_and_score(DivergenceParams(*cell), model, split, cfg, seed,
-                                     stream_ids)
+    def record(f, role, report):
         if collect_reports:
             train_reports.append({"fold": f, "role": role, **report.to_dict()})
-        return m["rmse"]
 
+    cell_params = [DivergenceParams(*cell) for cell in cells]
     for f, test_idx in enumerate(outer_folds):
         train_idx = np.concatenate([fold for j, fold in enumerate(outer_folds) if j != f])
         xm, xs, ym, ys = _moments(dataset, train_idx)
@@ -461,20 +482,23 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
         inner_perm = rng.generator(seed, rng.compose_stream(rng.STREAM_FOLDS, 1, f)) \
             .permutation(train_idx.size)
         inner_folds = np.array_split(inner_perm, k2)
-        inner_splits = []
+        inner = []  # per split, one outcome per cell
         for j, val_rows in enumerate(inner_folds):
             fit_rows = np.concatenate([rows for jj, rows in enumerate(inner_folds) if jj != j])
-            inner_splits.append((X_tr[fit_rows], y_tr[fit_rows],
-                                 X_tr[val_rows], y_tr_clean[val_rows]))
+            split = (X_tr[fit_rows], y_tr[fit_rows], X_tr[val_rows], y_tr_clean[val_rows])
+            inner.append(_train_and_score(cell_params, model, split, cfg, seed,
+                                          [(f, c, j) for c in range(len(cells))]))
 
         selectable = {}  # cell -> mean inner validation RMSE in this fold
         for c, cell in enumerate(cells):
             scores = []
-            for j, split in enumerate(inner_splits):
-                try:
-                    scores.append(fit(f, cell, f"inner-{j}", split, (f, c, j)))
-                except TrainingDiverged:
+            for j, outcomes in enumerate(inner):
+                if isinstance(outcomes[c], TrainingDiverged):
                     failures[cell] += 1
+                    continue
+                m, report = outcomes[c]
+                scores.append(m["rmse"])
+                record(f, f"inner-{j}", report)
             val_scores[cell] += scores
             if scores and failures[cell] <= (f + 1) * k2 / 2:
                 selectable[cell] = float(np.mean(scores))
@@ -482,9 +506,17 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
             raise TrainingDiverged(f"no trainable cell in outer fold {f}", None)
         winner = min(selectable, key=lambda cell: (selectable[cell], _kl_distance(cell)))
 
-        test_rmse = fit(f, winner, "retrain", outer_split, (f, len(cells), 0))
-        kl_rmse = test_rmse if winner == kl_cell else fit(
-            f, kl_cell, "kl-baseline", outer_split, (f, len(cells) + 1, 0))
+        # the winner's retraining and, unless the winner is KL, the KL baseline
+        final_cells = [winner] if winner == kl_cell else [winner, kl_cell]
+        outcomes = _train_and_score([DivergenceParams(*cell) for cell in final_cells], model,
+                                    outer_split, cfg, seed,
+                                    [(f, len(cells) + i, 0) for i in range(len(final_cells))])
+        for out, role in zip(outcomes, ("retrain", "kl-baseline")):
+            if isinstance(out, TrainingDiverged):
+                raise out
+            record(f, role, out[1])
+        test_rmse = outcomes[0][0]["rmse"]
+        kl_rmse = outcomes[-1][0]["rmse"]
         fold_rows.append({
             "fold": f,
             "selected": list(winner),

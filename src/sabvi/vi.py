@@ -32,6 +32,13 @@ a difference of two tilted expectations, as in the quadrature fits.  Term
 the three -sum(log sigma) contributions add up to
 (alpha + beta - lam) / (alpha beta lam) = 0 per coordinate.
 
+Training runs C cells (settings of (alpha, beta)) that share q0, model
+and data as one batch: per step, one model call on all C x K sample rows,
+one estimator call per cell on its K rows, one ADAM update over the
+stacked rows.  A BNN row's log joint does not depend on the other rows
+of its batch, so each cell's outcome is bit for bit that of training it
+alone; `train` is the one-cell batch.
+
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
 LSE formulation, and the quadrature evaluator covers the exact surfaces in
@@ -91,6 +98,16 @@ class MeanFieldGaussian:
     @property
     def dim(self) -> int:
         return self.mu.size
+
+    @classmethod
+    def _unchecked(cls, mu: np.ndarray, log_sigma: np.ndarray, sigma: np.ndarray):
+        """A q over vectors the caller has built, without the constructor's
+        checks and copies: the training loop's rows start from a checked q0
+        and stay finite, since ADAM takes only finite steps."""
+        q = object.__new__(cls)
+        for name, value in (("mu", mu), ("log_sigma", log_sigma), ("sigma", sigma)):
+            object.__setattr__(q, name, value)
+        return q
 
     @classmethod
     def initial(cls, dim: int, log_sigma: float = DEFAULT_INIT_LOG_SIGMA):
@@ -233,6 +250,29 @@ def _is_kl_corner(params: DivergenceParams) -> bool:
     return params.alpha == 1.0 and params.beta == 0.0
 
 
+# Sample rows per batched model call: bounds the rows x N x width
+# activations of a network however many cells train together.  Larger
+# calls did not pay: a BNN 8-50-50-1 step at K = 25, N = 128 ran about 10%
+# slower per cell with two cells (50 rows) per call than with one.
+_BATCH_ROWS = 32
+
+
+class _EvaluatedRows:
+    """The model contract over one cell's rows of a batched evaluation.
+
+    The training loop evaluates the sample rows of all its cells in one
+    model call and hands each cell's estimator this view of its K rows,
+    so the estimator runs on them without a second model evaluation.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.a = self.g = None
+
+    def log_joint_and_grad(self, thetas, data):
+        return self.a, self.g
+
+
 def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
           mc: MCConfig, opt: AdamConfig,
           stream: int | None = None) -> TrainReport:
@@ -243,58 +283,118 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
     concurrent runs stay independent by choosing distinct streams.  The
     (1, 0) corner routes through the negative-ELBO path; other exact limit
     parameters are rejected up front.  A run that never sees a finite
-    step raises TrainingDiverged too, however few steps it has.
+    step raises TrainingDiverged too, however few steps it has.  This is
+    the one-cell case of `train_batch`.
     """
     if stream is None:
         stream = rng.compose_stream(rng.STREAM_TRAIN)
-    kl_path = _is_kl_corner(params)
-    if not kl_path:
-        _require_generic(params)
+    (outcome,) = train_batch([params], q0, model, data, mc, opt, [stream])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
+
+
+def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, data,
+                mc: MCConfig, opt: AdamConfig,
+                streams: list[int]) -> list[TrainReport | TrainingDiverged]:
+    """Train C cells that share q0, model, data and configuration as one batch.
+
+    Cell c draws its noise from its own (mc.seed, streams[c]) stream and
+    keeps its own trace, skipped-step count and divergence outcome, as
+    `train` would give it alone.  Each step evaluates the sample rows of
+    all live cells in one model call (at most _BATCH_ROWS rows per call,
+    one cell per call if K is larger), runs one estimator call per live
+    cell on its rows, and takes one ADAM update over the cells whose step
+    was finite.  The outcomes equal C
+    separate trainings bit for bit when a row's log joint does not depend
+    on the other rows of its batch, as for `BNNModel`; a one-cell batch is
+    exactly `train`.
+
+    Returns one outcome per cell, in order: its TrainReport, or the
+    TrainingDiverged (partial report attached) that `train` would raise.
+    """
+    if len(cells) != len(streams):
+        raise ValueError("need one stream per cell")
+    kl_paths = [_is_kl_corner(params) for params in cells]
+    for params, kl_path in zip(cells, kl_paths):
+        if not kl_path:
+            _require_generic(params)
     if model.dim != q0.dim:
         raise ValueError("model dim does not match q dim")
 
-    state = AdamState.init(np.concatenate([q0.mu, q0.log_sigma]))
-    d = q0.dim
-    trace = np.empty(opt.steps)
-    noise_stream = rng.NoiseStream(mc.seed, stream)
-    bad_streak = 0
-    skipped = 0
-    q = q0
+    n_cells, d, k = len(cells), q0.dim, mc.n_samples
+    state = AdamState.init(np.tile(np.concatenate([q0.mu, q0.log_sigma]), (n_cells, 1)))
+    grads = np.zeros_like(state.params)
+    traces = np.empty((n_cells, opt.steps))
+    noise_streams = [rng.NoiseStream(mc.seed, stream) for stream in streams]
+    bad_streak = [0] * n_cells
+    skipped = [0] * n_cells
+    outcomes: list = [None] * n_cells
+    live = list(range(n_cells))
+    view = _EvaluatedRows(d)
+    per_call = max(1, _BATCH_ROWS // k)
     for step in range(opt.steps):
-        q = MeanFieldGaussian(state.params[:d], state.params[d:])
-        noise = noise_stream.block(step, mc.n_samples, d)
-        with np.errstate(all="ignore"):
-            if kl_path:
-                value, d_mu, d_ls = kl_elbo_with_grad(q, model, data, noise, strict=False)
-            else:
-                value, d_mu, d_ls = mc_objective_with_grad(params, q, model, data, noise,
-                                                           strict=False)
-        trace[step] = value
-        grad = np.concatenate([d_mu, d_ls])
-        if not (math.isfinite(value) and np.isfinite(grad).all()):
-            bad_streak += 1
-            skipped += 1
-            if bad_streak >= _MAX_BAD_STEPS:
-                report = _report(params, q, trace[:step + 1], mc, opt, q0, stream, kl_path,
-                                 skipped)
-                raise TrainingDiverged(
-                    f"objective non-finite for {bad_streak} consecutive steps "
-                    f"at (alpha={params.alpha}, beta={params.beta})", report)
-            continue  # skip the update, keep counting
-        bad_streak = 0
-        state = adam_step(state, grad, opt)
-    final = MeanFieldGaussian(state.params[:d], state.params[d:])
-    report = _report(params, final, trace, mc, opt, q0, stream, kl_path, skipped)
-    if opt.steps and skipped == opt.steps:
-        raise TrainingDiverged(
+        for start in range(0, len(live), per_call):
+            batch = live[start:start + per_call]
+            noises = [noise_streams[c].block(step, k, d) for c in batch]
+            rows = state.params[batch]  # fancy indexing copies
+            mu, log_sigma = rows[:, :d], rows[:, d:]
+            sigma = np.exp(log_sigma)
+            eps = np.array([noise.epsilons for noise in noises])
+            thetas = (mu[:, None, :] + sigma[:, None, :] * eps).reshape(-1, d)
+            with np.errstate(all="ignore"):
+                a, g = model.log_joint_and_grad(thetas, data)
+                for i, c in enumerate(batch):
+                    view.a, view.g = a[i * k:(i + 1) * k], g[i * k:(i + 1) * k]
+                    q = MeanFieldGaussian._unchecked(mu[i], log_sigma[i], sigma[i])
+                    if kl_paths[c]:
+                        value, d_mu, d_ls = kl_elbo_with_grad(q, view, data, noises[i],
+                                                              strict=False)
+                    else:
+                        value, d_mu, d_ls = mc_objective_with_grad(cells[c], q, view, data,
+                                                                   noises[i], strict=False)
+                    traces[c, step] = value
+                    grads[c, :d] = d_mu
+                    grads[c, d:] = d_ls
+        finite = np.isfinite(grads).all(axis=1)
+        stepped = []
+        for c in live:
+            if finite[c] and math.isfinite(traces[c, step]):
+                bad_streak[c] = 0
+                stepped.append(c)
+                continue
+            bad_streak[c] += 1  # skip the update, keep counting
+            skipped[c] += 1
+            if bad_streak[c] >= _MAX_BAD_STEPS:
+                params = cells[c]
+                outcomes[c] = TrainingDiverged(
+                    f"objective non-finite for {bad_streak[c]} consecutive steps "
+                    f"at (alpha={params.alpha}, beta={params.beta})",
+                    _report(params, _q_of(state.params[c], d), traces[c, :step + 1], mc,
+                            opt, q0, streams[c], kl_paths[c], skipped[c]))
+        if len(stepped) < len(live):
+            live = [c for c in live if outcomes[c] is None]
+        if stepped:
+            adam_step(state, grads, opt, None if len(stepped) == n_cells else stepped)
+
+    for c in live:
+        params = cells[c]
+        report = _report(params, _q_of(state.params[c], d), traces[c], mc, opt, q0,
+                         streams[c], kl_paths[c], skipped[c])
+        outcomes[c] = report if not opt.steps or skipped[c] < opt.steps else TrainingDiverged(
             f"objective non-finite at all {opt.steps} steps "
             f"at (alpha={params.alpha}, beta={params.beta})", report)
-    return report
+    return outcomes
+
+
+def _q_of(row: np.ndarray, d: int) -> MeanFieldGaussian:
+    """A report's own copy of the q in one stacked (mu, log sigma) row."""
+    return MeanFieldGaussian(row[:d].copy(), row[d:].copy())
 
 
 def _report(params, final, trace, mc, opt, q0, stream, kl_path, skipped) -> TrainReport:
     return TrainReport(alpha=params.alpha, beta=params.beta, final=final,
-                       trace=np.asarray(trace, dtype=float), seed=mc.seed,
+                       trace=np.array(trace, dtype=float), seed=mc.seed,
                        stream=stream, mc_config=mc, adam_config=opt,
                        init_mu=q0.mu.copy(), init_log_sigma=q0.log_sigma.copy(),
                        used_kl_path=kl_path, skipped_steps=skipped)

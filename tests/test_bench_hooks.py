@@ -2,7 +2,8 @@
 
 The traced benchmark run (``perfbench/``) wraps entry points by reading
 them from their owner's ``__dict__`` and counts ADAM steps by wrapping
-the VI estimators that ``vi.train`` looks up as module globals.  Moving
+the VI estimators that the training loop looks up as module globals,
+once per cell and step however many cells train as one batch.  Moving
 one of those attributes, or calling an estimator some other way, breaks
 the benchmark; these tests make it break tier-1 first.
 """
@@ -15,6 +16,7 @@ import pytest
 
 from sabvi import experiments, vi
 from sabvi.divergence import DivergenceParams
+from sabvi.experiments import CVRunConfig, GridSearchSpec, corrupt, gen_nonlinear, normalize
 from sabvi.models import BNNModel, XYData
 from sabvi.optim import AdamConfig
 
@@ -49,3 +51,18 @@ def test_step_count_is_one_estimator_call_per_adam_step(bench):
     layers, _ = bench
     report, calls = layers.count_steps(lambda _: _small_training(steps=7), None)
     assert calls == 7 and report.trace.size == 7
+
+
+def test_batched_nested_cv_counts_one_estimator_call_per_cell_step(bench):
+    # k1 = k2 = 2 and three cells, the KL cell off the grid: per outer fold
+    # 2 x 3 inner trainings, the winner's retraining and the KL baseline
+    layers, _ = bench
+    steps = 4
+    dataset = corrupt(normalize(gen_nonlinear(48, 3, seed=9)), 0.1, seed=9)
+    grid = GridSearchSpec(alpha_range=(0.5, 1.5), beta_range=(0.25, 0.25), step=0.5)
+    cfg = CVRunConfig(hidden=(3,), mc_samples=2, steps=steps, predict_draws=10)
+    report, calls = layers.count_steps(
+        lambda ds: experiments.nested_cv(ds, grid, k1=2, k2=2, config=cfg, seed=5), dataset)
+    assert len(grid.cells()) == 3 and (1.0, 0.0) not in grid.cells()
+    assert sum(c["failures"] for c in report.cells) == 0
+    assert calls == 2 * (2 * 3 + 2) * steps

@@ -64,6 +64,22 @@ class TestDivergenceCommand:
                        "--out", tmp_path / "x") == 2
         assert "config error: alpha and beta must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,message", [
+        ("gaussian:0,nan", "gaussian stddev must be finite"),
+        ("gaussian:nan,1", "gaussian mean must be finite"),
+        ("gaussian:0,inf", "gaussian stddev must be finite"),
+        ('{"kind": "mixture", "components": [{"weight": 1.0, "location": NaN, '
+         '"scale": 1.0, "shape": 0.0}]}', "component location must be finite"),
+        ('{"kind": "grid", "lo": -1.0, "hi": 1.0, "n": 5, "log_values": [0.0, 0.0, 0.0]}',
+         "n = 5 does not match the 3 log_values"),
+    ], ids=["nan_stddev", "nan_mean", "inf_stddev", "nan_location", "grid_n"])
+    def test_bad_density_spec_is_config_error(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "x"
+        assert run_cli("divergence", "--alpha", 1.2, "--beta", 0.5, "--p", spec,
+                       "--q", "gaussian:0,1", "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
     def test_missing_densities_is_config_error(self, tmp_path):
         assert run_cli("divergence", "--alpha", 1, "--beta", 0.5,
                        "--out", tmp_path / "x") == 2
@@ -380,7 +396,11 @@ class TestTrainingDivergedWritesError:
         def train(*args, **kwargs):
             raise TrainingDiverged("forced divergence", None)
 
+        def train_batch(cells, *args, **kwargs):  # the grid search's batched entry
+            return [TrainingDiverged("forced divergence", None) for _ in cells]
+
         monkeypatch.setattr(experiments, "train", train)
+        monkeypatch.setattr(experiments, "train_batch", train_batch)
         path = tmp_path / "data.csv"
         save_csv(gen_nonlinear(40, 3, seed=11), path)
         args, message = {

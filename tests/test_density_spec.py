@@ -54,6 +54,30 @@ class TestParse:
         with pytest.raises(SpecError):
             parse_density_spec(text)
 
+    @pytest.mark.parametrize("text,field", [
+        ("gaussian:0,nan", "stddev"),
+        ("gaussian:nan,1", "mean"),
+        ("gaussian:0,inf", "stddev"),
+        (json.dumps({"kind": "gaussian", "mean": float("-inf"), "stddev": 1.0}), "mean"),
+        (json.dumps({"kind": "mixture", "components": [
+            {"weight": 1.0, "location": float("nan"), "scale": 1.0, "shape": 0.0}]}),
+         "location"),
+        (json.dumps({"kind": "mixture", "components": [
+            {"weight": 1.0, "location": 0.0, "scale": float("nan"), "shape": 0.0}]}), "scale"),
+        (json.dumps({"kind": "mixture", "components": [
+            {"weight": 1.0, "location": 0.0, "scale": 1.0, "shape": float("inf")}]}), "shape"),
+    ])
+    def test_non_finite_number_is_spec_error_naming_the_field(self, text, field):
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            parse_density_spec(text)
+
+    def test_grid_n_is_optional_but_must_match_the_values(self):
+        spec = grid_spec(11)
+        without_n = {k: v for k, v in spec.items() if k != "n"}
+        assert parse_density_spec(without_n).n == 11
+        with pytest.raises(SpecError, match="n = 12 does not match the 11 log_values"):
+            parse_density_spec({**spec, "n": 12})
+
 
 class TestTabulate:
     def test_mixture_and_gaussian_tabulate_their_log_pdf(self):

@@ -274,14 +274,17 @@ class TestNestedCV:
     FAIL_CONFIG = CVRunConfig(hidden=(3,), mc_samples=2, steps=5, predict_draws=10)
 
     def _diverge_on(self, monkeypatch, failing):
-        real_train = experiments.train
+        # the cells of a split train as one batch: force a per-cell divergence
+        real_train_batch = experiments.train_batch
 
-        def train(params, *args, **kwargs):
-            if failing(params):
-                raise TrainingDiverged("forced divergence", None)
-            return real_train(params, *args, **kwargs)
+        def train_batch(cells, q0, model, data, mc, opt, streams):
+            keep = [i for i, params in enumerate(cells) if not failing(params)]
+            kept = dict(zip(keep, real_train_batch([cells[i] for i in keep], q0, model, data,
+                                                   mc, opt, [streams[i] for i in keep])))
+            return [kept.get(i, TrainingDiverged("forced divergence", None))
+                    for i in range(len(cells))]
 
-        monkeypatch.setattr(experiments, "train", train)
+        monkeypatch.setattr(experiments, "train_batch", train_batch)
 
     def test_always_failing_cell_is_excluded_and_never_selected(self, monkeypatch):
         bad = (1.0, 0.25)

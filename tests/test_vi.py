@@ -1,4 +1,6 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sabvi import rng as sabrng
+from sabvi import vi
 from sabvi.divergence import DivergenceParams, GridDensity, eval_sab
 from sabvi.gradcheck import MC_GRAD_TOL, mc_gradient_suite
-from sabvi.models import BLRModel, XYData, blr_exact_posterior
+from sabvi.models import BLRModel, BNNModel, XYData, blr_exact_posterior
 from sabvi.optim import AdamConfig, AdamState, adam_step
 from sabvi.vi import (
     MCConfig,
@@ -19,6 +22,7 @@ from sabvi.vi import (
     mc_objective_with_grad,
     sample_reparam,
     train,
+    train_batch,
 )
 
 from conftest import GaussianJointModel
@@ -218,15 +222,46 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         state = AdamState.init(np.array([1.0, -2.0]))
+        before = state.params.copy()  # the update is in place
         new = adam_step(state, np.zeros(2), AdamConfig())
-        np.testing.assert_array_equal(new.params, state.params)
+        np.testing.assert_array_equal(new.params, before)
 
     def test_two_constant_steps_bounded_by_lr(self):
         cfg = AdamConfig(learning_rate=0.01)
         state = AdamState.init(np.zeros(1))
-        s1 = adam_step(state, np.full(1, 3.7), cfg)
-        s2 = adam_step(s1, np.full(1, 3.7), cfg)
-        assert abs(s2.params[0] - s1.params[0]) <= cfg.learning_rate * (1 + 1e-9)
+        p1 = adam_step(state, np.full(1, 3.7), cfg).params[0, 0]
+        p2 = adam_step(state, np.full(1, 3.7), cfg).params[0, 0]
+        assert p1 != 0.0
+        assert abs(p2 - p1) <= cfg.learning_rate * (1 + 1e-9)
+
+    @staticmethod
+    def _scalar_adam(row, g, cfg):
+        """Textbook ADAM on one vector: (params, m, v, t) -> the next tuple."""
+        params, m, v, t = row
+        t += 1
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon), m, v, t
+
+    def test_stacked_rows_equal_row_by_row_scalar_adam_bit_for_bit(self):
+        # rows that skip a step keep parameters, moments and step count
+        g = np.random.default_rng(7)
+        cfg = AdamConfig(learning_rate=0.02)
+        n_rows, width = 4, 6
+        stacked = AdamState.init(g.standard_normal((n_rows, width)))
+        singles = [(p.copy(), np.zeros(width), np.zeros(width), 0) for p in stacked.params]
+        for _ in range(1000):
+            grads = g.standard_normal((n_rows, width)) * 10.0 ** g.integers(-4, 4, (n_rows, 1))
+            rows = [r for r in range(n_rows) if g.random() < 0.7 or r == 0]
+            adam_step(stacked, grads, cfg, None if len(rows) == n_rows else rows)
+            for r in rows:
+                singles[r] = self._scalar_adam(singles[r], grads[r], cfg)
+        assert stacked.t == [t for *_, t in singles] and min(stacked.t) < 1000 == stacked.t[0]
+        for r, single in enumerate(singles):
+            for got, want in zip((stacked.params[r], stacked.m[r], stacked.v[r]), single):
+                np.testing.assert_array_equal(got, want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -314,6 +349,105 @@ class TestTrain:
         assert d["used_kl_path"] and len(d["trace"]) == 5
         assert d["skipped_steps"] == 0
         assert d["init_log_sigma"] == [math.log(0.1)]
+
+
+class PoisonedRows:
+    """A model whose log joint is NaN at every row whose first coordinate
+    exceeds a bar: a fault of single rows, as an overflow would be."""
+
+    def __init__(self, model, bar):
+        self.model, self.bar, self.dim = model, bar, model.dim
+
+    def log_joint_and_grad(self, thetas, data):
+        a, grads = self.model.log_joint_and_grad(thetas, data)
+        a[thetas[:, 0] > self.bar] = np.nan
+        return a, grads
+
+
+def _bnn_problem(layer_sizes=(2, 3, 1), learn_noise=False, bar=None):
+    g = np.random.default_rng(0)
+    X = g.uniform(-1, 1, (16, layer_sizes[0]))
+    data = XYData(X, np.sin(2 * X[:, 0]) + 0.1 * g.standard_normal(16))
+    model = BNNModel(layer_sizes, learn_noise=learn_noise)
+    return (model if bar is None else PoisonedRows(model, bar)), data
+
+
+def _outcome_json(outcome):
+    """Everything an outcome carries, NaNs and all bits included."""
+    if isinstance(outcome, TrainingDiverged):
+        return json.dumps({"diverged": str(outcome), **outcome.report.to_dict()})
+    return json.dumps(outcome.to_dict())
+
+
+def _per_cell_outcomes(cells, model, data, mc, opt, streams):
+    outcomes = []
+    for params, stream in zip(cells, streams):
+        try:
+            outcomes.append(train(params, MeanFieldGaussian.initial(model.dim), model, data,
+                                  mc, opt, stream=stream))
+        except TrainingDiverged as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+CELL_POOL = [DivergenceParams(1.0, 0.0), DivergenceParams(0.5, 0.25),
+             DivergenceParams(1.5, -0.5), DivergenceParams(2.0, 0.5),
+             DivergenceParams(0.8, -0.3)]
+
+
+class TestTrainBatch:
+    def test_one_cell_diverges_mid_batch_and_the_others_are_unchanged(self):
+        # at bar 0.4 the KL cell's mean crosses the bar and stays, so it
+        # diverges mid-run; (0.5, 0.25) skips steps but finishes
+        model, data = _bnn_problem(bar=0.4)
+        cells, streams = CELL_POOL[:3], [11, 12, 13]
+        mc, opt = MCConfig(3, 1), AdamConfig(learning_rate=0.05, steps=40)
+        batch = train_batch(cells, MeanFieldGaussian.initial(model.dim), model, data, mc, opt,
+                            streams)
+        alone = _per_cell_outcomes(cells, model, data, mc, opt, streams)
+        assert [_outcome_json(o) for o in batch] == [_outcome_json(o) for o in alone]
+        diverged, skipping, clean = batch
+        assert isinstance(diverged, TrainingDiverged)
+        assert diverged.report.trace.size < 40 and diverged.report.skipped_steps >= 10
+        assert skipping.skipped_steps > 0 and skipping.trace.size == 40
+        assert clean.skipped_steps == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(st.sampled_from(CELL_POOL), min_size=1, max_size=4),
+           layer_sizes=st.sampled_from([(2, 3, 1), (2, 4, 3, 1)]),
+           learn_noise=st.booleans(),
+           steps=st.sampled_from([0, 1, 5, 20, 30]),
+           bar=st.sampled_from([None, 0.15, 0.3]),
+           batch_rows=st.sampled_from([3, 7, 32]))
+    # two cells finish, one skipping steps, while two diverge at steps 17 and 25
+    @example(cells=CELL_POOL[:4], layer_sizes=(2, 3, 1), learn_noise=False, steps=30,
+             bar=0.3, batch_rows=32)
+    # four cells diverge at four different steps, two cells per model call
+    @example(cells=CELL_POOL[:4], layer_sizes=(2, 3, 1), learn_noise=True, steps=30,
+             bar=0.15, batch_rows=7)
+    def test_batch_equals_per_cell_training_bit_for_bit(self, cells, layer_sizes, learn_noise,
+                                                        steps, bar, batch_rows):
+        model, data = _bnn_problem(layer_sizes, learn_noise, bar)
+        streams = [100 + c for c in range(len(cells))]
+        mc, opt = MCConfig(3, 2), AdamConfig(learning_rate=0.1, steps=steps)
+        with mock.patch.object(vi, "_BATCH_ROWS", batch_rows):
+            batch = train_batch(cells, MeanFieldGaussian.initial(model.dim), model, data, mc,
+                                opt, streams)
+        alone = _per_cell_outcomes(cells, model, data, mc, opt, streams)
+        assert [_outcome_json(o) for o in batch] == [_outcome_json(o) for o in alone]
+
+    def test_cells_and_streams_must_pair_up(self):
+        model, data = _bnn_problem()
+        with pytest.raises(ValueError, match="one stream per cell"):
+            train_batch(CELL_POOL[:2], MeanFieldGaussian.initial(model.dim), model, data,
+                        MCConfig(3, 0), AdamConfig(steps=2), [1])
+
+    def test_limit_cell_is_rejected_before_any_training(self):
+        model, data = _bnn_problem()
+        with pytest.raises(UnsupportedRegionError):
+            train_batch([CELL_POOL[1], DivergenceParams(0.0, 0.5)],
+                        MeanFieldGaussian.initial(model.dim), model, data,
+                        MCConfig(3, 0), AdamConfig(steps=2), [1, 2])
 
 
 class TestMeanFieldGaussian:
