@@ -30,6 +30,7 @@ from .divergence import (
     DivergenceParams,
     DomainError,
     EvaluationError,
+    Region,
     classify_region,
     eval_sab,
 )
@@ -173,6 +174,8 @@ def cmd_gradcheck(config: dict, outdir: Path) -> int:
 
 
 def _parse_settings(text: str) -> list[tuple[float, float]]:
+    """The (lambda, beta) pairs of --settings, each one the trainer can train:
+    finite, and in the generic region or at the KL corner (1, 0)."""
     out = []
     for part in text.split(";"):
         part = part.strip()
@@ -180,8 +183,14 @@ def _parse_settings(text: str) -> list[tuple[float, float]]:
             continue
         try:
             lam, beta = (float(v) for v in part.split(","))
-        except ValueError:
-            raise ConfigError(f"bad setting {part!r}; want LAMBDA,BETA") from None
+            params = DivergenceParams.from_lambda(lam, beta)
+        except ValueError:  # DomainError, for a non-finite setting, is one too
+            raise ConfigError(f"--settings: bad setting {part!r}; want finite "
+                              f"LAMBDA,BETA") from None
+        if classify_region(params) is not Region.GENERIC and (lam, beta) != (1.0, 0.0):
+            raise ConfigError(f"--settings: setting {part!r} is on a limit surface "
+                              f"(alpha = lambda - beta, beta or lambda is 0), where "
+                              f"only the KL corner 1,0 trains")
         out.append((lam, beta))
     if not out:
         raise ConfigError("no settings given")
@@ -371,9 +380,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ConfigError(f"config file must hold a JSON object, "
+                              f"got {type(config).__name__}")
         if config.get("command") != args.command:
             raise ConfigError(
                 f"config file is for {config.get('command')!r}, not {args.command!r}")
+        missing = sorted(vars(args).keys() - {"config"} - config.keys())
+        if missing:
+            raise ConfigError(f"config file lacks field(s) {', '.join(missing)}")
         return config
     config = {k: v for k, v in vars(args).items() if k != "config"}
     if not config.get("out"):
@@ -389,6 +404,8 @@ _MIN_COUNTS = {
     "uci": {"steps": 1, "mc_samples": 1, "k1": 2, "k2": 2},
 }
 _FRACTIONS = {"toy": "outliers", "uci": "corrupt"}  # each must lie in [0, 1)
+_SEEDS = {"toy": "seed_base", "uci": "seed", "gradcheck": "seed"}
+_MAX_SEED = 2**64 - 1  # seeds key 64-bit Philox streams
 
 
 def _validate(config: dict) -> None:
@@ -406,6 +423,16 @@ def _validate(config: dict) -> None:
         key = _FRACTIONS[cmd]
         if not 0.0 <= config[key] < 1.0:
             raise ConfigError(f"--{key} must be in [0, 1), got {config[key]}")
+    if cmd in _SEEDS:
+        key = _SEEDS[cmd]
+        seed, flag = config[key], "--" + key.replace("_", "-")
+        if not 0 <= seed <= _MAX_SEED:
+            raise ConfigError(f"{flag} must be in [0, 2**64 - 1], got {seed}")
+        if cmd == "toy" and seed + config["seeds"] - 1 > _MAX_SEED:
+            raise ConfigError(f"{flag} {seed} with --seeds {config['seeds']} runs past "
+                              f"the largest seed, 2**64 - 1")
+    if cmd == "toy":
+        _parse_settings(config["settings"])
     if cmd == "fit-density":
         for key in ("init_mu", "init_log_sigma"):
             value = config.get(key)

@@ -5,12 +5,10 @@ training targets are partially shifted by a constant outlier offset, then
 scores each divergence setting on a fresh clean test draw.  The
 cross-validation harness runs a nested grid search over (alpha, beta) for
 a small Bayesian network on a corrupted regression table.  Every fit is
-train, predict, score.  The toy harness trains one setting at a time;
-the grid search trains all cells of one data split as one batch
-(`vi.train_batch`, through `_train_and_score`), which is exact because a
-network row's log joint does not depend on the other rows of its batch.
-BLR's batched product over K rows rounds differently with the row count,
-so the toy settings are not batched.
+train, predict, score, through one `_train_and_score`: the toy settings
+of one seed, like the grid cells of one data split, train as one batch
+(`vi.train_batch`), which is exact because a model row's log joint does
+not depend on the other rows of its batch.
 
 Corruption bookkeeping: `corrupt` adds OUTLIER_SHIFT to the normalized
 target at a sampled index set and records the mask, so evaluation code can
@@ -36,7 +34,9 @@ from . import rng
 from .divergence import DivergenceParams
 from .models import BLRModel, BNNModel, XYData, predict
 from .optim import AdamConfig
-from .vi import MCConfig, MeanFieldGaussian, TrainingDiverged, train, train_batch
+# `train` is not called here: the traced benchmark (perfbench/layers.py)
+# wraps it as this module's attribute, so the name has to stay importable.
+from .vi import MCConfig, MeanFieldGaussian, TrainingDiverged, train, train_batch  # noqa: F401
 
 OUTLIER_SHIFT = 5.0
 TOY_WEIGHT = 0.5
@@ -234,13 +234,6 @@ def metrics(y_true, y_pred) -> dict:
     return {"mae": float(np.mean(np.abs(err))), "mse": mse, "rmse": math.sqrt(mse)}
 
 
-def _training_args(model, X_fit, y_fit, cfg, seed: int):
-    """What every training of a run shares: q0, model, data, MC and ADAM settings."""
-    return (MeanFieldGaussian.initial(model.dim), model, XYData(X_fit, y_fit),
-            MCConfig(cfg.mc_samples, seed),
-            AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps))
-
-
 def _train_and_score(cells, model, split, cfg, seed: int, stream_ids):
     """Train the cells on split = (X_fit, y_fit, X_eval, y_eval) as one batch
     and score each predictive mean against y_eval.
@@ -250,18 +243,18 @@ def _train_and_score(cells, model, split, cfg, seed: int, stream_ids):
     TrainingDiverged its training ended with.
     """
     X_fit, y_fit, X_eval, y_eval = split
-    outcomes = train_batch(cells, *_training_args(model, X_fit, y_fit, cfg, seed),
+    outcomes = train_batch(cells, MeanFieldGaussian.initial(model.dim), model,
+                           XYData(X_fit, y_fit), MCConfig(cfg.mc_samples, seed),
+                           AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
                            [rng.compose_stream(rng.STREAM_TRAIN, *ids) for ids in stream_ids])
-    return [out if isinstance(out, TrainingDiverged)
-            else (_score(out, model, X_eval, y_eval, cfg, seed, ids), out)
-            for out, ids in zip(outcomes, stream_ids)]
-
-
-def _score(report, model, X_eval, y_eval, cfg, seed: int, stream_ids) -> dict:
-    """Metrics of the trained q's predictive mean against y_eval."""
-    summary = predict(report.final, model, X_eval, cfg.predict_draws, seed,
-                      stream=rng.compose_stream(rng.STREAM_PREDICT, *stream_ids))
-    return metrics(y_eval, summary.mean)
+    scored = []
+    for out, ids in zip(outcomes, stream_ids):
+        if not isinstance(out, TrainingDiverged):
+            summary = predict(out.final, model, X_eval, cfg.predict_draws, seed,
+                              stream=rng.compose_stream(rng.STREAM_PREDICT, *ids))
+            out = (metrics(y_eval, summary.mean), out)
+        scored.append(out)
+    return scored
 
 
 # ---------------------------------------------------------------------------
@@ -290,33 +283,38 @@ def run_toy_experiment(settings: list[tuple[float, float]], seeds: list[int],
     """Train one BLR per (lambda, beta) setting and seed; aggregate MAE/MSE.
 
     Settings are (lambda, beta) pairs; (1, 0) runs the KL path, anything
-    else must land in the generic region.  Test data is a fresh clean draw
-    per seed and is scored against the predictive mean.  With
-    collect_reports the serialized per-run training reports (traces
-    included) ride along in the result.
+    else must land in the generic region.  Each seed draws its training
+    data and a fresh clean test set once, and its settings train on them
+    as one batch, each from its own (setting,) stream; rows, seeds and
+    reports are ordered settings first, then seeds.  Test data is scored
+    against the predictive mean.  With collect_reports the serialized
+    per-run training reports (traces included) ride along in the result.
     """
     if not seeds:
         raise ValueError("seeds must name at least one seed")
     cfg = config or ToyRunConfig()
     model = BLRModel(input_dim=cfg.dim, noise_sigma=TOY_NOISE_SIGMA)
+    cells = [DivergenceParams.from_lambda(lam, beta) for lam, beta in settings]
+    per_seed_outcomes = []  # per seed, one outcome per setting
+    for seed in seeds:
+        train_ds = gen_toy(cfg.n_train, cfg.dim, cfg.p_outliers, seed,
+                           stream=rng.compose_stream(rng.STREAM_DATA, 0))
+        test_ds = gen_toy(cfg.n_test, cfg.dim, 0.0, seed,
+                          stream=rng.compose_stream(rng.STREAM_DATA, 1))
+        split = (train_ds.X, train_ds.y, test_ds.X, test_ds.y)
+        per_seed_outcomes.append(_train_and_score(cells, model, split, cfg, seed,
+                                                  [(i,) for i in range(len(cells))]))
     rows = []
     reports = []
-    for setting_idx, (lam, beta) in enumerate(settings):
-        params = DivergenceParams.from_lambda(lam, beta)
+    for setting_idx, ((lam, beta), params) in enumerate(zip(settings, cells)):
         per_seed = []
-        for seed in seeds:
-            train_ds = gen_toy(cfg.n_train, cfg.dim, cfg.p_outliers, seed,
-                               stream=rng.compose_stream(rng.STREAM_DATA, 0))
-            test_ds = gen_toy(cfg.n_test, cfg.dim, 0.0, seed,
-                              stream=rng.compose_stream(rng.STREAM_DATA, 1))
-            try:
-                report = train(params, *_training_args(model, train_ds.X, train_ds.y, cfg, seed),
-                               stream=rng.compose_stream(rng.STREAM_TRAIN, setting_idx))
-            except TrainingDiverged as exc:
+        for seed, outcomes in zip(seeds, per_seed_outcomes):
+            out = outcomes[setting_idx]
+            if isinstance(out, TrainingDiverged):
                 raise TrainingDiverged(
-                    f"toy setting (lambda={lam}, beta={beta}) seed {seed}: {exc}",
-                    exc.report) from exc
-            m = _score(report, model, test_ds.X, test_ds.y, cfg, seed, (setting_idx,))
+                    f"toy setting (lambda={lam}, beta={beta}) seed {seed}: {out}",
+                    out.report) from out
+            m, report = out
             per_seed.append({"seed": seed, **m})
             if collect_reports:
                 reports.append(report.to_dict())

@@ -4,11 +4,14 @@ ReLU Bayesian neural network.
 The variational trainer needs ``dim`` and one batched method,
 ``log_joint_and_grad(thetas, data) -> (a, G)``: for a K x dim array of
 parameter rows it returns the K log joints and their K x dim gradients.
-Both models evaluate all rows in one stacked forward and backward pass.
-Prediction needs two more: ``outputs(thetas, X)``, the K x N regression
-outputs of K parameter rows, and ``noise_var(thetas)``, the observation
-noise variance averaged over them.  A row's outputs do not depend on
-which rows share its batch.  ``log_joint(theta, data)``,
+Both models evaluate all rows in one call: the network in one stacked
+forward and backward pass, the linear model through its data statistics
+and one vector-matrix product per row.  Prediction needs two more:
+``outputs(thetas, X)``, the K x N regression outputs of K parameter rows,
+and ``noise_var(thetas)``, the observation noise variance averaged over
+them.  A row's log joint, gradient and outputs do not depend on which
+rows share its batch, bit for bit, so batched training equals training
+each cell alone.  ``log_joint(theta, data)``,
 ``grad_log_joint(theta, data)`` and ``predict_f(theta, X)`` are one-row
 views of the batched methods, for callers that hold a single theta.
 ``data`` is any object with ``X`` (N x D) and ``y`` (N,) attributes.
@@ -51,16 +54,6 @@ def _as_rows(thetas, dim: int) -> np.ndarray:
     if thetas.ndim != 2 or thetas.shape[1] != dim:
         raise ValueError(f"thetas must be a K x {dim} array, one parameter vector per row")
     return thetas
-
-
-def _gaussian_loglik(resid: np.ndarray, sigma) -> np.ndarray:
-    """Row sums of the zero-mean Gaussian log density of K x N residuals.
-
-    sigma is a scalar or one noise scale per row.
-    """
-    n = resid.shape[1]
-    return (-0.5 * np.einsum("kn,kn->k", resid, resid) / sigma**2
-            - n * (np.log(sigma) + 0.5 * _LOG_2PI))
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +110,25 @@ class BLRModel:
         return self.outputs(np.asarray(theta)[None], X)[0]
 
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
-        """log p(theta_k, data) and its gradient for every row of K x dim thetas."""
+        """log p(theta_k, data) and its gradient for every row of K x dim thetas.
+
+        The likelihood goes through the data's statistics Phi'Phi, Phi'y and
+        y'y, and each row's quadratic form and gradient is its own
+        vector-matrix product, so a row's result does not depend on the
+        other rows of its batch.
+        """
         thetas = _as_rows(thetas, self.dim)
-        X, y = _as_xy(data)
+        gram, phi_y, yy, n = _blr_statistics(self, data)
         sigmas = self._prior_sigmas()
         scaled = thetas / sigmas
         value = (-0.5 * np.einsum("kd,kd->k", scaled, scaled)
                  - float(np.sum(np.log(sigmas))) - 0.5 * self.dim * _LOG_2PI)
-        grad = -scaled / sigmas
-        f = thetas[:, :self.input_dim] @ X.T  # one matrix product over all K rows
-        if self.include_bias:
-            f += thetas[:, -1:]
-        resid = y - f
-        value += _gaussian_loglik(resid, self.noise_sigma)
-        back = resid / self.noise_sigma**2
-        grad[:, :self.input_dim] += back @ X
-        if self.include_bias:
-            grad[:, -1] += back.sum(axis=1)
-        return value, grad
+        gram_theta = np.matmul(thetas[:, None, :], gram)[:, 0]  # one product per row
+        # ||y - Phi theta||^2 = y'y - 2 theta'Phi'y + theta'Phi'Phi theta
+        sq = yy + np.einsum("kd,kd->k", thetas, gram_theta - 2.0 * phi_y)
+        var = self.noise_sigma**2
+        value -= 0.5 * sq / var + n * (math.log(self.noise_sigma) + 0.5 * _LOG_2PI)
+        return value, (phi_y - gram_theta) / var - scaled / sigmas
 
     def log_joint(self, theta: np.ndarray, data) -> float:
         return float(self.log_joint_and_grad(np.asarray(theta)[None], data)[0][0])
@@ -151,11 +145,12 @@ class BLRModel:
                 "include_bias": self.include_bias}
 
 
-def blr_design_matrix(model: BLRModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if not model.include_bias:
-        return X
-    return np.hstack([X, np.ones((X.shape[0], 1))])
+def _blr_statistics(model: BLRModel, data):
+    """Phi'Phi, Phi'y, y'y and N of the data, where the design matrix Phi is
+    X with a column of ones appended when the model has a bias."""
+    X, y = _as_xy(data)
+    phi = np.hstack([X, np.ones((len(y), 1))]) if model.include_bias else X
+    return phi.T @ phi, phi.T @ y, float(y @ y), len(y)
 
 
 def blr_exact_posterior(model: BLRModel, data) -> tuple[np.ndarray, np.ndarray]:
@@ -165,11 +160,10 @@ def blr_exact_posterior(model: BLRModel, data) -> tuple[np.ndarray, np.ndarray]:
     precision raises numpy's LinAlgError; regularization is the prior's
     job, never added silently here.
     """
-    X, y = _as_xy(data)
-    phi = blr_design_matrix(model, X)
-    precision = phi.T @ phi / model.noise_sigma**2 + np.diag(model._prior_sigmas() ** -2)
+    gram, phi_y, _, _ = _blr_statistics(model, data)
+    precision = gram / model.noise_sigma**2 + np.diag(model._prior_sigmas() ** -2)
     cov = np.linalg.inv(precision)
-    mean = cov @ (phi.T @ y) / model.noise_sigma**2
+    mean = cov @ phi_y / model.noise_sigma**2
     return mean, cov
 
 
@@ -277,7 +271,8 @@ class BNNModel:
             sigma = np.full(k, self.noise_sigma)
         weights, acts = self._forward(thetas, X)
         resid = y - acts[-1][:, :, 0]
-        value += _gaussian_loglik(resid, sigma)
+        value += (-0.5 * np.einsum("kn,kn->k", resid, resid) / sigma**2
+                  - len(y) * (np.log(sigma) + 0.5 * _LOG_2PI))
         delta = (resid / sigma[:, None] ** 2)[:, :, None]  # d loglik / d output
         ones = np.ones(len(y))  # column sums as a matmul, faster than sum(axis=1)
         for i, (w_sl, b_sl, _, _) in reversed(list(enumerate(self._layer_slices))):

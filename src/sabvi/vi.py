@@ -34,10 +34,10 @@ the three -sum(log sigma) contributions add up to
 
 Training runs C cells (settings of (alpha, beta)) that share q0, model
 and data as one batch: per step, one model call on all C x K sample rows,
-one estimator call per cell on its K rows, one ADAM update over the
-stacked rows.  A BNN row's log joint does not depend on the other rows
-of its batch, so each cell's outcome is bit for bit that of training it
-alone; `train` is the one-cell batch.
+one estimator call per cell on its K evaluated rows (``rows=(a, G)``),
+one ADAM update over the stacked rows.  A model row's log joint does not
+depend on the other rows of its batch, so each cell's outcome is bit for
+bit that of training it alone; `train` is the one-cell batch.
 
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
@@ -149,16 +149,17 @@ def _require_generic(params: DivergenceParams):
             f"or the quadrature evaluator for exact limits")
 
 
-def _log_joints(q: MeanFieldGaussian, model, data, noise: NoiseBlock,
-                strict: bool = True):
-    """Evaluate the model at every reparameterized sample in one batched call.
-
-    strict=True raises on a non-finite log joint (the contract of the
-    public estimator ops); strict=False lets NaN/inf flow through so the
-    training loop's divergence accounting can see them.
-    """
+def _model_rows(q: MeanFieldGaussian, model, data, noise: NoiseBlock, rows):
+    """(a, G) at the samples of q and noise: the caller's evaluated rows as
+    they are, non-finite values included so that the training loop's
+    divergence accounting sees them, or else one batched model call that
+    raises on a non-finite log joint."""
+    if rows is not None:
+        return rows
+    if model.dim != q.dim:
+        raise ValueError("model dim does not match q dim")
     a, grads = model.log_joint_and_grad(sample_reparam(q, noise), data)
-    if strict and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("model log_joint returned a non-finite value")
     return a, grads
 
@@ -181,24 +182,20 @@ def _mc_terms(params: DivergenceParams, a: np.ndarray, b: np.ndarray):
 
 
 def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
-                           model, data, noise: NoiseBlock, strict: bool = True):
+                           model, data, noise: NoiseBlock, rows=None):
     """K-sample estimate of the divergence from q to the posterior, with its
-    gradient: (value, d/d mu, d/d log sigma)."""
+    gradient: (value, d/d mu, d/d log sigma).  rows = (a, G), if given, are
+    the model's log joints and gradients at the samples, already evaluated."""
     _require_generic(params)
-    if model.dim != q.dim:
-        raise ValueError("model dim does not match q dim")
-    a, g = _log_joints(q, model, data, noise, strict=strict)
+    a, g = _model_rows(q, model, data, noise, rows)
     value, w = _mc_terms(params, a, _log_q_values(q, noise))
     return value, w @ g, w @ (g * (q.sigma[None, :] * noise.epsilons))
 
 
-def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: NoiseBlock,
-                      strict: bool = True):
+def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: NoiseBlock, rows=None):
     """Reparameterized negative ELBO, the (alpha, beta) = (1, 0) path, with
-    its gradient."""
-    if model.dim != q.dim:
-        raise ValueError("model dim does not match q dim")
-    a, g = _log_joints(q, model, data, noise, strict=strict)
+    its gradient; rows as for `mc_objective_with_grad`."""
+    a, g = _model_rows(q, model, data, noise, rows)
     value = float(np.mean(_log_q_values(q, noise) - a))
     d_mu = -g.mean(axis=0)
     d_ls = -1.0 - (g * (q.sigma[None, :] * noise.epsilons)).mean(axis=0)
@@ -246,31 +243,11 @@ class TrainReport:
         }
 
 
-def _is_kl_corner(params: DivergenceParams) -> bool:
-    return params.alpha == 1.0 and params.beta == 0.0
-
-
 # Sample rows per batched model call: bounds the rows x N x width
 # activations of a network however many cells train together.  Larger
 # calls did not pay: a BNN 8-50-50-1 step at K = 25, N = 128 ran about 10%
 # slower per cell with two cells (50 rows) per call than with one.
 _BATCH_ROWS = 32
-
-
-class _EvaluatedRows:
-    """The model contract over one cell's rows of a batched evaluation.
-
-    The training loop evaluates the sample rows of all its cells in one
-    model call and hands each cell's estimator this view of its K rows,
-    so the estimator runs on them without a second model evaluation.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.a = self.g = None
-
-    def log_joint_and_grad(self, thetas, data):
-        return self.a, self.g
 
 
 def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
@@ -305,17 +282,16 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     all live cells in one model call (at most _BATCH_ROWS rows per call,
     one cell per call if K is larger), runs one estimator call per live
     cell on its rows, and takes one ADAM update over the cells whose step
-    was finite.  The outcomes equal C
-    separate trainings bit for bit when a row's log joint does not depend
-    on the other rows of its batch, as for `BNNModel`; a one-cell batch is
-    exactly `train`.
+    was finite.  The outcomes equal C separate trainings bit for bit when
+    a row's log joint does not depend on the other rows of its batch, as
+    for both of the package's models; a one-cell batch is exactly `train`.
 
     Returns one outcome per cell, in order: its TrainReport, or the
     TrainingDiverged (partial report attached) that `train` would raise.
     """
     if len(cells) != len(streams):
         raise ValueError("need one stream per cell")
-    kl_paths = [_is_kl_corner(params) for params in cells]
+    kl_paths = [(params.alpha, params.beta) == (1.0, 0.0) for params in cells]
     for params, kl_path in zip(cells, kl_paths):
         if not kl_path:
             _require_generic(params)
@@ -331,7 +307,6 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     skipped = [0] * n_cells
     outcomes: list = [None] * n_cells
     live = list(range(n_cells))
-    view = _EvaluatedRows(d)
     per_call = max(1, _BATCH_ROWS // k)
     for step in range(opt.steps):
         for start in range(0, len(live), per_call):
@@ -345,14 +320,13 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
             with np.errstate(all="ignore"):
                 a, g = model.log_joint_and_grad(thetas, data)
                 for i, c in enumerate(batch):
-                    view.a, view.g = a[i * k:(i + 1) * k], g[i * k:(i + 1) * k]
                     q = MeanFieldGaussian._unchecked(mu[i], log_sigma[i], sigma[i])
+                    rows = a[i * k:(i + 1) * k], g[i * k:(i + 1) * k]
                     if kl_paths[c]:
-                        value, d_mu, d_ls = kl_elbo_with_grad(q, view, data, noises[i],
-                                                              strict=False)
+                        value, d_mu, d_ls = kl_elbo_with_grad(q, model, data, noises[i], rows)
                     else:
-                        value, d_mu, d_ls = mc_objective_with_grad(cells[c], q, view, data,
-                                                                   noises[i], strict=False)
+                        value, d_mu, d_ls = mc_objective_with_grad(cells[c], q, model, data,
+                                                                   noises[i], rows)
                     traces[c, step] = value
                     grads[c, :d] = d_mu
                     grads[c, d:] = d_ls

@@ -66,3 +66,14 @@ def test_batched_nested_cv_counts_one_estimator_call_per_cell_step(bench):
     assert len(grid.cells()) == 3 and (1.0, 0.0) not in grid.cells()
     assert sum(c["failures"] for c in report.cells) == 0
     assert calls == 2 * (2 * 3 + 2) * steps
+
+
+def test_batched_toy_run_counts_one_estimator_call_per_setting_seed_step(bench):
+    layers, _ = bench
+    steps, settings, seeds = 6, [(1.0, 0.0), (1.9, -0.3), (1.8, 0.8)], [0, 1]
+    cfg = experiments.ToyRunConfig(n_train=40, n_test=20, dim=2, mc_samples=3, steps=steps,
+                                   predict_draws=10)
+    result, calls = layers.count_steps(
+        lambda s: experiments.run_toy_experiment(s, seeds, cfg), settings)
+    assert [len(row["per_seed"]) for row in result["rows"]] == [2, 2, 2]
+    assert calls == len(settings) * len(seeds) * steps

@@ -381,6 +381,16 @@ class TestArgumentErrors:
         (["uci", "--grid-step", 0], "--grid-step must be positive"),
         (["uci", "--hidden", 4, 0], "--hidden sizes must be at least 1"),
         (["uci", "--k1", 100], "--k1 100 x --k2 2 folds need at least 200 rows"),
+        (["toy", "--settings", "nan,0.5"], "--settings: bad setting 'nan,0.5'"),
+        (["toy", "--settings", "1,0;inf,0.5"], "--settings: bad setting 'inf,0.5'"),
+        (["toy", "--settings", "0.5,0.5"], "--settings: setting '0.5,0.5' is on a limit"),
+        (["toy", "--settings", "1,0.3;1,1"], "--settings: setting '1,1' is on a limit"),
+        (["toy", "--seed-base", -1], "--seed-base must be in [0, 2**64 - 1], got -1"),
+        (["toy", "--seed-base", 2**64 - 2, "--seeds", 3],
+         f"--seed-base {2**64 - 2} with --seeds 3 runs past the largest seed"),
+        (["uci", "--seed", -1], "--seed must be in [0, 2**64 - 1], got -1"),
+        (["uci", "--seed", 2**64], f"--seed must be in [0, 2**64 - 1], got {2**64}"),
+        (["gradcheck", "--seed", -1], "--seed must be in [0, 2**64 - 1], got -1"),
     ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else None)
     def test_bad_argument_exits_2_naming_the_flag(self, tmp_path, capsys, args, message):
         path = tmp_path / "data.csv"
@@ -389,17 +399,38 @@ class TestArgumentErrors:
         assert run_cli(*args, *extra, "--out", tmp_path / "x") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        ("[1]", "config file must hold a JSON object, got list"),
+        ('{"command": "toy"}', "config file lacks field(s) dim, learning_rate, mc_samples, "
+                               "out, outliers, seed_base, seeds, settings, steps, "
+                               "test_size, train_size"),
+    ])
+    def test_bad_config_file_exits_2_naming_the_cause(self, tmp_path, capsys, content,
+                                                      message):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        assert run_cli("toy", "--config", path) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_file_missing_one_field_names_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("toy", "--settings", "1.0,0.0", "--seeds", 1, "--train-size", 20,
+                       "--test-size", 20, "--dim", 2, "--steps", 2, "--mc-samples", 2,
+                       "--out", out) == 0
+        config = read_json(out / "config.json")
+        del config["seed_base"]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("toy", "--config", path) == 2
+        assert "config file lacks field(s) seed_base" in capsys.readouterr().err
+
 
 class TestTrainingDivergedWritesError:
     @pytest.mark.parametrize("command", ["toy", "uci"])
     def test_error_json_and_numerical_exit(self, tmp_path, capsys, monkeypatch, command):
-        def train(*args, **kwargs):
-            raise TrainingDiverged("forced divergence", None)
-
-        def train_batch(cells, *args, **kwargs):  # the grid search's batched entry
+        def train_batch(cells, *args, **kwargs):  # both harnesses' training entry
             return [TrainingDiverged("forced divergence", None) for _ in cells]
 
-        monkeypatch.setattr(experiments, "train", train)
         monkeypatch.setattr(experiments, "train_batch", train_batch)
         path = tmp_path / "data.csv"
         save_csv(gen_nonlinear(40, 3, seed=11), path)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sabvi import experiments
+from sabvi import experiments, rng, vi
+from sabvi.divergence import DivergenceParams
 from sabvi.experiments import (
     CSVFormatError,
     CVRunConfig,
@@ -22,6 +23,8 @@ from sabvi.experiments import (
     run_toy_experiment,
     save_csv,
 )
+from sabvi.models import BLRModel, XYData, predict
+from sabvi.optim import AdamConfig
 from sabvi.vi import TrainingDiverged
 
 TOY_W = 0.5
@@ -191,6 +194,32 @@ class TestToyExperiment:
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             run_toy_experiment([(1.0, 0.0)], [])
+
+    def test_equals_one_training_and_prediction_per_setting_bit_for_bit(self):
+        # the settings of a seed train as one batch; each must come out as
+        # if trained and scored alone, from the same streams
+        cfg = ToyRunConfig(n_train=80, n_test=50, dim=2, mc_samples=3, steps=40,
+                           predict_draws=30)
+        settings, seeds = [(1.0, 0.0), (1.9, -0.3), (1.8, 0.8)], [3, 4]
+        result = run_toy_experiment(settings, seeds, cfg, collect_reports=True)
+        model = BLRModel(input_dim=cfg.dim, noise_sigma=experiments.TOY_NOISE_SIGMA)
+        reports = []
+        for i, (lam, beta) in enumerate(settings):
+            for seed, scores in zip(seeds, result["rows"][i]["per_seed"]):
+                fit = gen_toy(cfg.n_train, cfg.dim, cfg.p_outliers, seed,
+                              stream=rng.compose_stream(rng.STREAM_DATA, 0))
+                test = gen_toy(cfg.n_test, cfg.dim, 0.0, seed,
+                               stream=rng.compose_stream(rng.STREAM_DATA, 1))
+                report = vi.train(DivergenceParams.from_lambda(lam, beta),
+                                  vi.MeanFieldGaussian.initial(model.dim), model,
+                                  XYData(fit.X, fit.y), vi.MCConfig(cfg.mc_samples, seed),
+                                  AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
+                                  stream=rng.compose_stream(rng.STREAM_TRAIN, i))
+                summary = predict(report.final, model, test.X, cfg.predict_draws, seed,
+                                  stream=rng.compose_stream(rng.STREAM_PREDICT, i))
+                assert scores == {"seed": seed, **metrics(test.y, summary.mean)}
+                reports.append(report.to_dict())
+        assert json.dumps(result["reports"]) == json.dumps(reports)
 
     def test_structure_and_determinism(self):
         cfg = ToyRunConfig(n_train=60, n_test=60, dim=2, mc_samples=3, steps=30,

@@ -278,11 +278,11 @@ class TestBatchedContract:
         a, G = model.log_joint_and_grad(thetas, data)
         assert a.shape == (len(thetas),) and G.shape == thetas.shape
         for theta, a_k, g_k in zip(thetas, a, G):
+            # a row's result does not depend on the rows sharing its call
+            assert model.log_joint(theta, data) == a_k
+            assert np.array_equal(model.grad_log_joint(theta, data), g_k)
             scale = max(1.0, abs(a_k))
-            assert abs(model.log_joint(theta, data) - a_k) <= 1e-12 * scale
             assert abs(_reference_log_joint(model, theta, data.X, data.y) - a_k) <= 1e-12 * scale
-            g_scale = max(1.0, float(np.max(np.abs(g_k))))
-            assert np.max(np.abs(model.grad_log_joint(theta, data) - g_k)) <= 1e-12 * g_scale
 
     @pytest.mark.parametrize("model", [BLRModel(input_dim=2), BNNModel(layer_sizes=(2, 3, 1))])
     def test_rows_must_match_dim(self, model):

@@ -135,6 +135,21 @@ class TestMCObjective:
         with pytest.raises(ValueError, match="non-finite"):
             mc_objective_with_grad(DivergenceParams(1.2, 0.4), q, BadModel(0, 1), None, noise)
 
+    @pytest.mark.parametrize("estimator", [
+        lambda *args, **kw: mc_objective_with_grad(DivergenceParams(1.2, 0.4), *args, **kw),
+        kl_elbo_with_grad], ids=["mc", "kl"])
+    def test_evaluated_rows_give_the_model_call_result_and_pass_nan(self, estimator):
+        model = GaussianJointModel(0.3, 0.8, dim=2)
+        q = MeanFieldGaussian(np.array([0.1, -0.2]), np.array([-0.3, 0.2]))
+        noise = sabrng.noise_block(4, 0, 0, 6, 2)
+        a, G = model.log_joint_and_grad(sample_reparam(q, noise), None)
+        own = estimator(q, model, None, noise)
+        handed = estimator(q, model, None, noise, rows=(a, G))
+        assert all(np.array_equal(x, y) for x, y in zip(own, handed))
+        a[2] = math.nan  # the caller's rows pass through unchecked
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(estimator(q, model, None, noise, rows=(a, G))[0])
+
     def test_mc_mean_approaches_quadrature(self):
         model = GaussianJointModel(0.6, 1.2)
         q = MeanFieldGaussian(np.array([0.2]), np.array([math.log(0.9)]))
@@ -364,11 +379,14 @@ class PoisonedRows:
         return a, grads
 
 
-def _bnn_problem(layer_sizes=(2, 3, 1), learn_noise=False, bar=None):
+def _regression_problem(layer_sizes=(2, 3, 1), learn_noise=False, bar=None):
+    """A BNN of the given layer sizes, or a BLR on two inputs when
+    layer_sizes is None (learn_noise does not apply to it)."""
     g = np.random.default_rng(0)
-    X = g.uniform(-1, 1, (16, layer_sizes[0]))
+    X = g.uniform(-1, 1, (16, 2))
     data = XYData(X, np.sin(2 * X[:, 0]) + 0.1 * g.standard_normal(16))
-    model = BNNModel(layer_sizes, learn_noise=learn_noise)
+    model = (BLRModel(input_dim=2) if layer_sizes is None
+             else BNNModel(layer_sizes, learn_noise=learn_noise))
     return (model if bar is None else PoisonedRows(model, bar)), data
 
 
@@ -399,7 +417,7 @@ class TestTrainBatch:
     def test_one_cell_diverges_mid_batch_and_the_others_are_unchanged(self):
         # at bar 0.4 the KL cell's mean crosses the bar and stays, so it
         # diverges mid-run; (0.5, 0.25) skips steps but finishes
-        model, data = _bnn_problem(bar=0.4)
+        model, data = _regression_problem(bar=0.4)
         cells, streams = CELL_POOL[:3], [11, 12, 13]
         mc, opt = MCConfig(3, 1), AdamConfig(learning_rate=0.05, steps=40)
         batch = train_batch(cells, MeanFieldGaussian.initial(model.dim), model, data, mc, opt,
@@ -414,7 +432,7 @@ class TestTrainBatch:
 
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.sampled_from(CELL_POOL), min_size=1, max_size=4),
-           layer_sizes=st.sampled_from([(2, 3, 1), (2, 4, 3, 1)]),
+           layer_sizes=st.sampled_from([(2, 3, 1), (2, 4, 3, 1), None]),
            learn_noise=st.booleans(),
            steps=st.sampled_from([0, 1, 5, 20, 30]),
            bar=st.sampled_from([None, 0.15, 0.3]),
@@ -425,9 +443,16 @@ class TestTrainBatch:
     # four cells diverge at four different steps, two cells per model call
     @example(cells=CELL_POOL[:4], layer_sizes=(2, 3, 1), learn_noise=True, steps=30,
              bar=0.15, batch_rows=7)
+    # BLR, whose rows share one set of data statistics: the same four
+    # cells diverge at four different steps, two cells per model call
+    @example(cells=CELL_POOL[:4], layer_sizes=None, learn_noise=False, steps=30,
+             bar=0.15, batch_rows=7)
+    # BLR, all five cells finishing from one model call per step
+    @example(cells=CELL_POOL, layer_sizes=None, learn_noise=False, steps=30,
+             bar=None, batch_rows=32)
     def test_batch_equals_per_cell_training_bit_for_bit(self, cells, layer_sizes, learn_noise,
                                                         steps, bar, batch_rows):
-        model, data = _bnn_problem(layer_sizes, learn_noise, bar)
+        model, data = _regression_problem(layer_sizes, learn_noise, bar)
         streams = [100 + c for c in range(len(cells))]
         mc, opt = MCConfig(3, 2), AdamConfig(learning_rate=0.1, steps=steps)
         with mock.patch.object(vi, "_BATCH_ROWS", batch_rows):
@@ -437,13 +462,13 @@ class TestTrainBatch:
         assert [_outcome_json(o) for o in batch] == [_outcome_json(o) for o in alone]
 
     def test_cells_and_streams_must_pair_up(self):
-        model, data = _bnn_problem()
+        model, data = _regression_problem()
         with pytest.raises(ValueError, match="one stream per cell"):
             train_batch(CELL_POOL[:2], MeanFieldGaussian.initial(model.dim), model, data,
                         MCConfig(3, 0), AdamConfig(steps=2), [1])
 
     def test_limit_cell_is_rejected_before_any_training(self):
-        model, data = _bnn_problem()
+        model, data = _regression_problem()
         with pytest.raises(UnsupportedRegionError):
             train_batch([CELL_POOL[1], DivergenceParams(0.0, 0.5)],
                         MeanFieldGaussian.initial(model.dim), model, data,
