@@ -23,17 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gradcheck
+from . import gradcheck, vi
 from .density_fit import FitObjective, Gaussian1D, fit_gaussian
 from .density_spec import SpecError, parse_density_spec, shared_grid, tabulate, tabulate_pair
-from .divergence import (
-    DivergenceParams,
-    DomainError,
-    EvaluationError,
-    Region,
-    classify_region,
-    eval_sab,
-)
+from .divergence import DivergenceParams, DomainError, EvaluationError, classify_region, eval_sab
 from .experiments import (
     CSVFormatError,
     CVRunConfig,
@@ -47,7 +40,7 @@ from .experiments import (
 )
 from .models import BNNModel, model_from_config
 from .optim import AdamConfig
-from .vi import TrainingDiverged, UnsupportedRegionError
+from .vi import TrainingDiverged
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC = 1
@@ -173,9 +166,9 @@ def cmd_gradcheck(config: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _parse_settings(text: str) -> list[tuple[float, float]]:
-    """The (lambda, beta) pairs of --settings, each one the trainer can train:
-    finite, and in the generic region or at the KL corner (1, 0)."""
+def _parse_settings(text: str, n_samples: int) -> list[tuple[float, float]]:
+    """The (lambda, beta) pairs of --settings, each one finite and
+    `vi.trainable` with n_samples MC samples."""
     out = []
     for part in text.split(";"):
         part = part.strip()
@@ -187,10 +180,13 @@ def _parse_settings(text: str) -> list[tuple[float, float]]:
         except ValueError:  # DomainError, for a non-finite setting, is one too
             raise ConfigError(f"--settings: bad setting {part!r}; want finite "
                               f"LAMBDA,BETA") from None
-        if classify_region(params) is not Region.GENERIC and (lam, beta) != (1.0, 0.0):
+        if not vi.trainable(params):
             raise ConfigError(f"--settings: setting {part!r} is on a limit surface "
                               f"(alpha = lambda - beta, beta or lambda is 0), where "
                               f"only the KL corner 1,0 trains")
+        if not vi.trainable(params, n_samples):
+            raise ConfigError(f"--mc-samples must be at least {vi.MIN_SAB_SAMPLES} to train "
+                              f"setting {part!r}, got {n_samples}")
         out.append((lam, beta))
     if not out:
         raise ConfigError("no settings given")
@@ -198,7 +194,7 @@ def _parse_settings(text: str) -> list[tuple[float, float]]:
 
 
 def cmd_toy(config: dict, outdir: Path) -> int:
-    settings = _parse_settings(config["settings"])
+    settings = _parse_settings(config["settings"], config["mc_samples"])
     seeds = [config["seed_base"] + i for i in range(config["seeds"])]
     cfg = ToyRunConfig(n_train=config["train_size"], n_test=config["test_size"],
                        dim=config["dim"], p_outliers=config["outliers"],
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Either load a previous run's config verbatim or snapshot the CLI args."""
     if args.config:
         with open(args.config) as fh:
@@ -389,11 +385,33 @@ def resolve_config(args: argparse.Namespace) -> dict:
         missing = sorted(vars(args).keys() - {"config"} - config.keys())
         if missing:
             raise ConfigError(f"config file lacks field(s) {', '.join(missing)}")
-        return config
-    config = {k: v for k, v in vars(args).items() if k != "config"}
+        (commands,) = (action.choices for action in parser._actions
+                       if action.dest == "command")
+        _check_field_types(config, commands[args.command]._actions)
+    else:
+        config = {k: v for k, v in vars(args).items() if k != "config"}
     if not config.get("out"):
-        raise ConfigError("--out is required (or pass --config)")
+        raise ConfigError("--out is required (or pass --config with an out field)")
     return config
+
+
+def _check_field_types(config: dict, actions) -> None:
+    """Each config file field must hold what argparse makes of its option:
+    a bool for a flag, a list for a repeated option, else the option's type
+    (str if it has none; an int passes for a float, a bool never for an
+    int), and null only where the option's default is None."""
+    for action in actions:
+        value = config.get(action.dest)
+        if action.dest not in config or (value is None and action.default is None):
+            continue
+        kind = bool if action.nargs == 0 else action.type or str
+        many = action.nargs == "+" or isinstance(action, argparse._AppendAction)
+        items = value if many and isinstance(value, list) else [value]
+        if isinstance(value, list) != many or not all(
+                type(v) is kind or (kind is float and type(v) is int) for v in items):
+            want = f"a list of {kind.__name__}" if many else kind.__name__
+            raise ConfigError(f"config file field {action.dest} must be {want}, "
+                              f"got {json.dumps(value)}")
 
 
 _MIN_COUNTS = {
@@ -401,7 +419,8 @@ _MIN_COUNTS = {
     "fit-density": {"grid_points": 2, "max_iters": 1},
     "toy": {"seeds": 1, "steps": 1, "mc_samples": 1, "dim": 1, "train_size": 1,
             "test_size": 1},
-    "uci": {"steps": 1, "mc_samples": 1, "k1": 2, "k2": 2},
+    # every grid holds sAB cells, so uci needs the sAB estimator's samples
+    "uci": {"steps": 1, "mc_samples": vi.MIN_SAB_SAMPLES, "k1": 2, "k2": 2},
 }
 _FRACTIONS = {"toy": "outliers", "uci": "corrupt"}  # each must lie in [0, 1)
 _SEEDS = {"toy": "seed_base", "uci": "seed", "gradcheck": "seed"}
@@ -432,7 +451,7 @@ def _validate(config: dict) -> None:
             raise ConfigError(f"{flag} {seed} with --seeds {config['seeds']} runs past "
                               f"the largest seed, 2**64 - 1")
     if cmd == "toy":
-        _parse_settings(config["settings"])
+        _parse_settings(config["settings"], config["mc_samples"])
     if cmd == "fit-density":
         for key in ("init_mu", "init_log_sigma"):
             value = config.get(key)
@@ -452,7 +471,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
+        config = resolve_config(args, parser)
         _validate(config)
         outdir = Path(config["out"])
         outdir.mkdir(parents=True, exist_ok=True)
@@ -462,8 +481,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EvaluationError, DomainError, UnsupportedRegionError,
-            TrainingDiverged, np.linalg.LinAlgError) as exc:
+    except (EvaluationError, DomainError, TrainingDiverged, np.linalg.LinAlgError) as exc:
         if isinstance(exc, TrainingDiverged):  # only commands train, so outdir exists
             _dump_json(outdir / "error.json", {"error": str(exc)})
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -43,7 +43,9 @@ Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
 LSE formulation, and the quadrature evaluator covers the exact surfaces in
 one dimension.  The (1, 0) corner trains through the standard
-reparameterized negative-ELBO path instead.
+reparameterized negative-ELBO path instead.  `trainable` is the one rule
+for what training accepts; off the KL corner it also needs two samples:
+with one, the three terms cancel exactly, to 0 with a zero gradient.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .divergence import DivergenceParams, Region, classify_region
+from .divergence import DivergenceParams, DomainError, Region, classify_region
 from .optim import AdamConfig, AdamState, adam_step
 from .rng import NoiseBlock
 
@@ -62,9 +64,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_INIT_LOG_SIGMA = math.log(0.1)
 
+KL_CORNER = (1.0, 0.0)  # the (alpha, beta) that trains through the negative ELBO
+MIN_SAB_SAMPLES = 2  # at K = 1 the sAB estimate is identically 0
 
-class UnsupportedRegionError(ValueError):
-    """MC estimator asked for an exact limit surface."""
+
+def trainable(params: DivergenceParams, n_samples: int = MIN_SAB_SAMPLES) -> bool:
+    """Whether `train` accepts (alpha, beta) with n_samples MC samples: the
+    KL corner, or a generic point (alpha, beta and alpha + beta all nonzero)
+    with at least MIN_SAB_SAMPLES samples.  The default asks about the
+    parameters alone."""
+    if (params.alpha, params.beta) == KL_CORNER:
+        return True
+    return classify_region(params) is Region.GENERIC and n_samples >= MIN_SAB_SAMPLES
 
 
 class TrainingDiverged(RuntimeError):
@@ -143,7 +154,7 @@ def _log_q_values(q: MeanFieldGaussian, noise: NoiseBlock) -> np.ndarray:
 
 def _require_generic(params: DivergenceParams):
     if classify_region(params) is not Region.GENERIC:
-        raise UnsupportedRegionError(
+        raise DomainError(
             f"MC estimator is undefined at exact limit parameters "
             f"(alpha={params.alpha}, beta={params.beta}); use near-limit values "
             f"or the quadrature evaluator for exact limits")
@@ -258,8 +269,8 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
     Noise for step t is block t of one live (seed, stream) noise stream, so a
     rerun with the same configuration reproduces the trace bit for bit and
     concurrent runs stay independent by choosing distinct streams.  The
-    (1, 0) corner routes through the negative-ELBO path; other exact limit
-    parameters are rejected up front.  A run that never sees a finite
+    (1, 0) corner routes through the negative-ELBO path; whatever is not
+    `trainable` is rejected up front.  A run that never sees a finite
     step raises TrainingDiverged too, however few steps it has.  This is
     the one-cell case of `train_batch`.
     """
@@ -288,13 +299,19 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
 
     Returns one outcome per cell, in order: its TrainReport, or the
     TrainingDiverged (partial report attached) that `train` would raise.
+    A cell that is not `trainable` at mc.n_samples raises DomainError
+    before any step.
     """
     if len(cells) != len(streams):
         raise ValueError("need one stream per cell")
-    kl_paths = [(params.alpha, params.beta) == (1.0, 0.0) for params in cells]
-    for params, kl_path in zip(cells, kl_paths):
-        if not kl_path:
+    for params in cells:
+        if not trainable(params, mc.n_samples):
             _require_generic(params)
+            raise DomainError(
+                f"sAB training needs at least {MIN_SAB_SAMPLES} MC samples, got "
+                f"{mc.n_samples} (alpha={params.alpha}, beta={params.beta}); with one "
+                f"sample the estimate is 0 and its gradient vanishes")
+    kl_paths = [(params.alpha, params.beta) == KL_CORNER for params in cells]
     if model.dim != q0.dim:
         raise ValueError("model dim does not match q dim")
 

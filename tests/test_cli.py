@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from sabvi import cli, experiments
+from sabvi import cli, experiments, vi
 from sabvi.cli import main
-from sabvi.divergence import gaussian_log_pdf
+from sabvi.divergence import DivergenceParams, DomainError, gaussian_log_pdf
 from sabvi.experiments import CVRunConfig, gen_nonlinear, save_csv
+from sabvi.models import BLRModel, XYData
+from sabvi.optim import AdamConfig
 from sabvi.vi import TrainingDiverged
 
 
@@ -385,6 +387,9 @@ class TestArgumentErrors:
         (["toy", "--settings", "1,0;inf,0.5"], "--settings: bad setting 'inf,0.5'"),
         (["toy", "--settings", "0.5,0.5"], "--settings: setting '0.5,0.5' is on a limit"),
         (["toy", "--settings", "1,0.3;1,1"], "--settings: setting '1,1' is on a limit"),
+        (["toy", "--settings", "1,0;1.8,0.8", "--mc-samples", 1],
+         "--mc-samples must be at least 2 to train setting '1.8,0.8', got 1"),
+        (["uci", "--mc-samples", 1], "--mc-samples must be at least 2, got 1"),
         (["toy", "--seed-base", -1], "--seed-base must be in [0, 2**64 - 1], got -1"),
         (["toy", "--seed-base", 2**64 - 2, "--seeds", 3],
          f"--seed-base {2**64 - 2} with --seeds 3 runs past the largest seed"),
@@ -404,9 +409,21 @@ class TestArgumentErrors:
         ('{"command": "toy"}', "config file lacks field(s) dim, learning_rate, mc_samples, "
                                "out, outliers, seed_base, seeds, settings, steps, "
                                "test_size, train_size"),
+        # a dict edits one field of a valid toy config
+        ({"seeds": "2"}, 'config file field seeds must be int, got "2"'),
+        ({"seeds": 2.5}, "config file field seeds must be int, got 2.5"),
+        ({"seeds": True}, "config file field seeds must be int, got true"),
+        ({"learning_rate": "0.1"}, 'config file field learning_rate must be float, got "0.1"'),
+        ({"steps": None}, "config file field steps must be int, got null"),
+        ({"settings": 5}, "config file field settings must be str, got 5"),
+        ({"out": None}, "--out is required (or pass --config with an out field)"),
     ])
     def test_bad_config_file_exits_2_naming_the_cause(self, tmp_path, capsys, content,
                                                       message):
+        if isinstance(content, dict):
+            args = cli.build_parser().parse_args(["toy", "--out", str(tmp_path / "run")])
+            config = {k: v for k, v in vars(args).items() if k != "config"}
+            content = json.dumps({**config, **content})
         path = tmp_path / "config.json"
         path.write_text(content)
         assert run_cli("toy", "--config", path) == 2
@@ -423,6 +440,28 @@ class TestArgumentErrors:
         path.write_text(json.dumps(config))
         assert run_cli("toy", "--config", path) == 2
         assert "config file lacks field(s) seed_base" in capsys.readouterr().err
+
+
+class TestToyRefusesWhatTheTrainerRefuses:
+    # (lambda, beta): a generic point, the KL corner, alpha = 0, beta = 0,
+    # lambda = 0 and the origin
+    @pytest.mark.parametrize("setting", ["1.8,0.8", "1,0", "0.5,0.5", "0.5,0", "0,0.5", "0,0"])
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    def test_settings_exit_2_exactly_when_train_batch_raises(self, tmp_path, setting,
+                                                             mc_samples):
+        params = DivergenceParams.from_lambda(*map(float, setting.split(",")))
+        model = BLRModel(input_dim=1)
+        try:
+            vi.train_batch([params], vi.MeanFieldGaussian.initial(model.dim), model,
+                           XYData(np.zeros((4, 1)), np.zeros(4)), vi.MCConfig(mc_samples),
+                           AdamConfig(steps=1), [0])
+            refused = False
+        except DomainError:
+            refused = True
+        code = run_cli("toy", "--settings", setting, "--seeds", 1, "--train-size", 10,
+                       "--test-size", 10, "--dim", 1, "--steps", 2,
+                       "--mc-samples", mc_samples, "--out", tmp_path / "run")
+        assert code == (2 if refused else 0)
 
 
 class TestTrainingDivergedWritesError:

@@ -168,6 +168,25 @@ class TestGridSearchSpec:
         cells = GridSearchSpec(step=0.5).cells()
         assert len(cells) == 33
 
+    @pytest.mark.parametrize("step,count", [(0.5, 33), (0.25, 137), (0.1, 881),
+                                            (0.05, 3561), (0.3, 111), (0.7, 25),
+                                            (0.125, 561), (1 / 3, 93)])
+    def test_cells_are_the_lattice_filtered_by_the_trainer_rule(self, step, count):
+        spec = GridSearchSpec(step=step)
+
+        def axis(lo, hi):
+            return [round(lo + i * step, 10)
+                    for i in range(int(math.floor((hi - lo) / step + 1e-9)) + 1)]
+
+        lattice = [(a, b) for a in axis(*spec.alpha_range) for b in axis(*spec.beta_range)]
+        by_rule = [cell for cell in lattice if vi.trainable(DivergenceParams(*cell))]
+        # the rule the grid kept before it asked the trainer: lattice values
+        # are rounded, so the anti-diagonal is found by rounding the sum
+        by_hand = [(a, b) for a, b in lattice if (a, b) == (1.0, 0.0)
+                   or (a != 0.0 and b != 0.0 and round(a + b, 10) != 0.0)]
+        assert spec.cells() == by_rule == by_hand
+        assert len(by_rule) == count
+
     def test_degenerate_single_cell_grid(self):
         spec = GridSearchSpec(alpha_range=(1.0, 1.0), beta_range=(0.0, 0.0), step=0.5)
         assert spec.cells() == [(1.0, 0.0)]

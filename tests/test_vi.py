@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sabvi import rng as sabrng
 from sabvi import vi
-from sabvi.divergence import DivergenceParams, GridDensity, eval_sab
+from sabvi.divergence import DivergenceParams, DomainError, GridDensity, eval_sab
 from sabvi.gradcheck import MC_GRAD_TOL, mc_gradient_suite
 from sabvi.models import BLRModel, BNNModel, XYData, blr_exact_posterior
 from sabvi.optim import AdamConfig, AdamState, adam_step
@@ -17,7 +17,6 @@ from sabvi.vi import (
     MCConfig,
     MeanFieldGaussian,
     TrainingDiverged,
-    UnsupportedRegionError,
     kl_elbo_with_grad,
     mc_objective_with_grad,
     sample_reparam,
@@ -120,7 +119,7 @@ class TestMCObjective:
     def test_exact_limits_rejected(self, alpha, beta):
         q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
         noise = sabrng.noise_block(0, 0, 0, 4, 1)
-        with pytest.raises(UnsupportedRegionError, match="quadrature"):
+        with pytest.raises(DomainError, match="quadrature"):
             mc_objective_with_grad(DivergenceParams(alpha, beta), q, GaussianJointModel(0, 1),
                                    None, noise)
 
@@ -469,10 +468,25 @@ class TestTrainBatch:
 
     def test_limit_cell_is_rejected_before_any_training(self):
         model, data = _regression_problem()
-        with pytest.raises(UnsupportedRegionError):
+        with pytest.raises(DomainError):
             train_batch([CELL_POOL[1], DivergenceParams(0.0, 0.5)],
                         MeanFieldGaussian.initial(model.dim), model, data,
                         MCConfig(3, 0), AdamConfig(steps=2), [1, 2])
+
+    def test_one_sample_sab_cell_is_rejected_before_any_training(self):
+        # at K = 1 the estimate is identically 0: the cell could never move
+        model, data = _regression_problem()
+        with mock.patch.object(vi, "mc_objective_with_grad") as sab, \
+                mock.patch.object(vi, "kl_elbo_with_grad") as kl, \
+                pytest.raises(DomainError, match=f"at least {vi.MIN_SAB_SAMPLES} MC samples"):
+            train_batch(CELL_POOL[:2], MeanFieldGaussian.initial(model.dim), model, data,
+                        MCConfig(1, 0), AdamConfig(steps=2), [1, 2])
+        sab.assert_not_called()
+        kl.assert_not_called()
+        value, d_mu, d_ls = mc_objective_with_grad(
+            CELL_POOL[1], MeanFieldGaussian.initial(model.dim), model, data,
+            sabrng.noise_block(0, 0, 0, 1, model.dim))
+        assert abs(value) < 1e-9 and not d_mu.any() and not d_ls.any()
 
 
 class TestMeanFieldGaussian:
