@@ -227,8 +227,6 @@ def cmd_uci(config: dict, outdir: Path) -> int:
     dataset = normalize(load_csv(config["csv"], config["target_column"]))
     if config["corrupt"] > 0:
         dataset = corrupt(dataset, config["corrupt"], config["seed"])
-    if config["full"]:
-        config = {**config, **UCI_FULL_SCALE}
     k1, k2 = config["k1"], config["k2"]
     if dataset.n < k1 * k2:
         raise ConfigError(f"--k1 {k1} x --k2 {k2} folds need at least {k1 * k2} rows, "
@@ -372,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Either load a previous run's config verbatim or snapshot the CLI args."""
+    """Either load a previous run's config verbatim or snapshot the CLI args,
+    then apply the `uci --full` preset, which a replayed config already holds."""
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -390,6 +389,8 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         _check_field_types(config, commands[args.command]._actions)
     else:
         config = {k: v for k, v in vars(args).items() if k != "config"}
+    if args.command == "uci" and config["full"]:
+        config = {**config, **UCI_FULL_SCALE}
     if not config.get("out"):
         raise ConfigError("--out is required (or pass --config with an out field)")
     return config
@@ -477,8 +478,8 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _dump_json(outdir / "config.json", config)
         return COMMANDS[config["command"]](config, outdir)
-    except (ConfigError, SpecError, CSVFormatError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, SpecError, CSVFormatError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, DomainError, TrainingDiverged, np.linalg.LinAlgError) as exc:

@@ -43,7 +43,9 @@ from .divergence import (
     eval_kl,
     eval_renyi,
     eval_sab,
+    finite_sab_value,
     gaussian_log_pdf,
+    sab_value,
     _power_lse,
 )
 from .optim import AdamConfig, AdamState, adam_step
@@ -281,14 +283,9 @@ class FitEvaluator:
         if kind == "renyi":
             t, s = _power_lse(a, 1.0 - a, lq, lp, log_w, "Renyi cross term")
             return t / (a - 1.0), (a / (a - 1.0)) * (g @ s)
-        lam = a + b
-        t_q, s_q = _power_lse(lam, 0.0, lq, lp, log_w, "first-density power term")
+        t_q, s_q = _power_lse(a + b, 0.0, lq, lp, log_w, "first-density power term")
         t_c, s_c = _power_lse(a, b, lq, lp, log_w, "cross term")
-        value = t_q / (b * lam) + self.t_target / (a * lam) - t_c / (a * b)
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"non-finite sAB value in region {Region.GENERIC.value} at "
-                f"(alpha={a}, beta={b})")
+        value = finite_sab_value(sab_value(a, b, t_q, self.t_target, t_c), Region.GENERIC, a, b)
         return value, (g @ s_q - g @ s_c) / b
 
 

@@ -223,32 +223,58 @@ def gaussian_pair(mu1: float, s1: float, mu2: float, s2: float,
 _FLOOR_DOMINANCE = 0.5  # weight share above which a clamped tail is fatal
 
 
+def lse_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp of each row of e and the rows' softmax weights, with one
+    max, exp and sum per row, in place (e holds the softmax on return): the
+    reduction behind every power integral, on the grid and in `vi`."""
+    m = e.max(axis=-1, keepdims=True)
+    e -= m
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    e /= total
+    return (m + np.log(total))[..., 0], e
+
+
+def sab_value(alpha: float, beta: float, t_p: float, t_q: float, t_c: float) -> float:
+    """The generic sAB value from its three log power integrals:
+    t_p = log I(p^(a+b)), t_q = log I(q^(a+b)) and t_c = log I(p^a q^b)."""
+    lam = alpha + beta
+    return t_p / (beta * lam) + t_q / (alpha * lam) - t_c / (alpha * beta)
+
+
+def finite_sab_value(value: float, region: Region, alpha: float, beta: float) -> float:
+    """value, or an EvaluationError if it is not finite."""
+    if math.isfinite(value):
+        return value
+    raise EvaluationError(f"non-finite sAB value in region {region.value} at "
+                          f"(alpha={alpha}, beta={beta})")
+
+
 def _power_lse(c_p: float, c_q: float, lp: np.ndarray, lq: np.ndarray,
                log_w: np.ndarray, term: str) -> tuple[float, np.ndarray]:
     """log I(p^c_p q^c_q) and the normalized weights w p^c_p q^c_q / I.
 
-    lp and lq are floored log-value vectors on the grid of log_w.  One
-    exponentiation serves both results.  Raises EvaluationError when every
-    node is at the floor, or when log-floor nodes under a negative
-    exponent carry most of the stabilized sum.
+    lp and lq are floored log-value vectors on the grid of log_w; a zero
+    exponent (one at most) skips its density.  Raises EvaluationError when
+    every node is at the floor, or when log-floor nodes under a negative
+    exponent carry most of the weight.
     """
     expo = log_w
     if c_p != 0.0:
         expo = expo + c_p * lp
     if c_q != 0.0:
         expo = expo + c_q * lq
-    m = np.max(expo)
-    if m == -np.inf:
+    # no mass means -inf at every node: test one node before scanning all
+    if expo[0] == -np.inf and expo.max() == -np.inf:
         raise EvaluationError(f"{term}: no mass to integrate (all nodes at the floor)")
-    z = np.exp(expo - m)
-    total = z.sum()
+    t, s = lse_rows(expo)
     if c_p < 0 or c_q < 0:
         explosive = ((c_p < 0) & (lp <= LOG_FLOOR)) | ((c_q < 0) & (lq <= LOG_FLOOR))
-        if z[explosive].sum() > _FLOOR_DOMINANCE * total:
+        if s[explosive].sum() > _FLOOR_DOMINANCE:
             raise EvaluationError(
                 f"{term}: stabilized sum dominated by log-floor nodes "
                 f"(negative exponent on a clamped tail)")
-    return float(m + np.log(total)), z / total
+    return float(t), s
 
 
 def _log_values(p: GridDensity, q: GridDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -287,32 +313,27 @@ def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
     region = classify_region(params)
 
     if region is Region.GENERIC:
-        t_p = _power_lse(lam, 0.0, lp, lq, log_w, "first-density power term")[0]
-        t_q = _power_lse(0.0, lam, lp, lq, log_w, "second-density power term")[0]
-        t_c = _power_lse(a, b, lp, lq, log_w, "cross term")[0]
-        value = t_p / (b * lam) + t_q / (a * lam) - t_c / (a * b)
+        value = sab_value(a, b,
+                          _power_lse(lam, 0.0, lp, lq, log_w, "first-density power term")[0],
+                          _power_lse(0.0, lam, lp, lq, log_w, "second-density power term")[0],
+                          _power_lse(a, b, lp, lq, log_w, "cross term")[0])
     elif region is Region.SUM_ZERO:
         t = _power_lse(a, -a, lp, lq, log_w, "ratio power term")[0]
         value = (t - a * float(np.dot(w, lp - lq))) / (a * a)
-    elif region is Region.BETA_ZERO:
-        t_q = _power_lse(0.0, a, lp, lq, log_w, "second-density power term")[0]
-        t_p, s = _power_lse(a, 0.0, lp, lq, log_w, "first-density power term")
-        value = (t_q - t_p) / (a * a) + float(np.dot(s, lp - lq)) / a
-    elif region is Region.ALPHA_ZERO:
-        t_p = _power_lse(b, 0.0, lp, lq, log_w, "first-density power term")[0]
-        t_q, s = _power_lse(0.0, b, lp, lq, log_w, "second-density power term")
-        value = (t_p - t_q) / (b * b) + float(np.dot(s, lq - lp)) / b
-    else:  # BOTH_ZERO
+    elif region is Region.BOTH_ZERO:
         d = lp - lq
         m1 = float(np.dot(w, d))
         m2 = float(np.dot(w, d * d))
         value = 0.5 * (m2 - m1 * m1)
-
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"non-finite sAB value in region {region.value} at "
-            f"(alpha={a}, beta={b})")
-    return value
+    else:
+        # D[0,b](p, q) = D[b,0](q, p): the a = 0 line is the b = 0 line with
+        # (p, a) and (q, b) exchanged; each term keeps its density's name
+        c, l1, l2, n1, n2 = ((a, lp, lq, "first", "second") if region is Region.BETA_ZERO
+                             else (b, lq, lp, "second", "first"))
+        t2 = _power_lse(0.0, c, l1, l2, log_w, f"{n2}-density power term")[0]
+        t1, s = _power_lse(c, 0.0, l1, l2, log_w, f"{n1}-density power term")
+        value = (t2 - t1) / (c * c) + float(np.dot(s, l1 - l2)) / c
+    return finite_sab_value(value, region, a, b)
 
 
 # ---------------------------------------------------------------------------

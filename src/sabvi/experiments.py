@@ -132,7 +132,11 @@ class CSVFormatError(ValueError):
 def load_csv(path, target_column: str) -> Dataset:
     """Numeric CSV with a header row; the named column becomes the target."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CSVFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -140,6 +144,11 @@ def load_csv(path, target_column: str) -> Dataset:
         header = [h.strip() for h in header]
         if target_column not in header:
             raise CSVFormatError(f"{path}: missing target column {target_column!r}")
+        twice = [name for name, count in Counter(header).items() if count > 1]
+        if twice:
+            raise CSVFormatError(f"{path}: the header names column {twice[0]!r} twice")
+        if len(header) < 2:
+            raise CSVFormatError(f"{path}: no feature columns beside the target {target_column!r}")
         t_idx = header.index(target_column)
         rows = []
         for r, row in enumerate(reader, start=2):

@@ -322,22 +322,33 @@ def model_from_config(config: dict):
     def number(name, default=None):
         return _positive(name, config[name] if default is None else config.get(name, default))
 
+    def size(name, value):
+        if type(_positive(name, value)) is not int:
+            raise ValueError(f"model config field {name!r} must be an integer of at least 1, "
+                             f"got {value!r}")
+        return value
+
+    def flag(name, default):
+        if not isinstance(value := config.get(name, default), bool):
+            raise ValueError(f"model config field {name!r} must be true or false, got {value!r}")
+        return value
+
     try:
         if kind == "blr":
-            return BLRModel(input_dim=int(number("input_dim")),
+            return BLRModel(input_dim=size("input_dim", config["input_dim"]),
                             prior_w_sigma=number("prior_w_sigma", 1.0),
                             prior_b_sigma=number("prior_b_sigma", 1.0),
                             noise_sigma=number("noise_sigma", 0.1),
-                            include_bias=config.get("include_bias", True))
+                            include_bias=flag("include_bias", True))
         if kind == "bnn":
             sizes = config["layer_sizes"]
             if not isinstance(sizes, list):
                 raise ValueError(f"model config field 'layer_sizes' must be a list, "
                                  f"got {sizes!r}")
-            return BNNModel(layer_sizes=tuple(_positive("layer_sizes", s) for s in sizes),
+            return BNNModel(layer_sizes=tuple(size("layer_sizes", s) for s in sizes),
                             prior_sigma=number("prior_sigma", 1.0),
                             noise_log_sigma=math.log(number("noise_sigma", 0.1)),
-                            learn_noise=config.get("learn_noise", False))
+                            learn_noise=flag("learn_noise", False))
     except KeyError as exc:
         raise ValueError(f"model config missing field {exc}") from exc
     raise ValueError(f"unknown model kind {kind!r}")
@@ -379,7 +390,7 @@ def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
     X_test = np.asarray(X_test, dtype=float)
     if stream is None:
         stream = rng.compose_stream(rng.STREAM_PREDICT)
-    eps = rng.noise_block(seed, stream, 0, draws, q.dim).epsilons
+    eps = rng.noise_block(seed, stream, 0, draws, q.dim)
     thetas = q.mu[None, :] + np.exp(q.log_sigma)[None, :] * eps
     outputs = np.empty((draws, len(X_test)))
     for start in range(0, draws, _PREDICT_CHUNK):

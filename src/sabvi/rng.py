@@ -20,8 +20,6 @@ new generator; the blocks are the ones a fresh `generator` would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 # stream ids for the package's fixed purposes; experiment code composes
@@ -53,28 +51,6 @@ def compose_stream(purpose: int, i1: int = 0, i2: int = 0, i3: int = 0) -> int:
     return (purpose << 48) | (i1 << 32) | (i2 << 16) | i3
 
 
-@dataclass(frozen=True)
-class NoiseBlock:
-    """A frozen K x d block of standard-normal draws."""
-
-    epsilons: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.ndim != 2:
-            raise ValueError("epsilons must be a K x d matrix")
-        eps.flags.writeable = False
-        object.__setattr__(self, "epsilons", eps)
-
-    @property
-    def n_samples(self) -> int:
-        return self.epsilons.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.epsilons.shape[1]
-
-
 class NoiseStream:
     """One live Philox generator for a (seed, stream) pair, addressed by step."""
 
@@ -88,13 +64,19 @@ class NoiseStream:
         self._state = bits.state
         self._counter = self._state["state"]["counter"]
 
-    def block(self, step: int, n_samples: int, dim: int) -> NoiseBlock:
-        """The n_samples x dim standard-normal block at counter [0, 0, 0, step]."""
+    def block(self, step: int, n_samples: int, dim: int) -> np.ndarray:
+        """The read-only n_samples x dim standard-normal block at counter
+        [0, 0, 0, step]."""
         self._counter[3] = step
         self._bits.state = self._state
-        return NoiseBlock(self._gen.standard_normal((n_samples, dim)))
+        block = self._gen.standard_normal((n_samples, dim))
+        block.flags.writeable = False
+        return block
 
 
-def noise_block(seed: int, stream: int, step: int, n_samples: int, dim: int) -> NoiseBlock:
-    """One block from a fresh generator, for one-off draws outside a training."""
-    return NoiseBlock(generator(seed, stream, step).standard_normal((n_samples, dim)))
+def noise_block(seed: int, stream: int, step: int, n_samples: int, dim: int) -> np.ndarray:
+    """One read-only block from a fresh generator, for one-off draws
+    outside a training."""
+    block = generator(seed, stream, step).standard_normal((n_samples, dim))
+    block.flags.writeable = False
+    return block

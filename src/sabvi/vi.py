@@ -10,12 +10,13 @@ writing a_k = log p(theta_k, X), b_k = log q(theta_k) and lam = alpha+beta,
     term3 = LSE_k[ (alpha-1) b_k + beta a_k ] - log K  (over -1/(alpha beta))
 
 evaluated entirely in log space; raw density ratios overflow for real
-models as soon as |lam| leaves a neighborhood of 1.  The three exponents
-are stacked into one 3 x K array and reduced by one fused log-sum-exp
-(one max, exp and sum per row), row for row the same arithmetic as three
-separate ones.  Adding a constant to every a_k shifts term1 by lam c and
-term3 by beta c, which cancel exactly in the weighted sum: the estimator
-never needs the marginal likelihood.
+models as soon as |lam| leaves a neighborhood of 1.  It is the quadrature
+divergence D[alpha,beta](q, p) with each power integral importance-sampled
+under q, so the value is `divergence.sab_value` of (term2, term1, term3),
+and the 3 x K exponents are reduced by the grid's log-sum-exp kernel,
+`divergence.lse_rows`.  Adding a constant to every a_k shifts term1 by
+lam c and term3 by beta c, which cancel exactly in the weighted sum: the
+estimator never needs the marginal likelihood.
 
 Gradients are exact derivatives of the estimator with the noise block held
 fixed.  One ``model.log_joint_and_grad`` call on the K x d sample rows
@@ -56,9 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .divergence import DivergenceParams, DomainError, Region, classify_region
+from .divergence import (DivergenceParams, DomainError, Region, classify_region, lse_rows,
+                         sab_value)
 from .optim import AdamConfig, AdamState, adam_step
-from .rng import NoiseBlock
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -138,17 +139,17 @@ class MCConfig:
         return {"n_samples": self.n_samples, "seed": self.seed}
 
 
-def sample_reparam(q: MeanFieldGaussian, noise: NoiseBlock) -> np.ndarray:
-    """theta_k = mu + sigma * eps_k, one row per sample."""
-    if noise.dim != q.dim:
-        raise ValueError(f"noise dim {noise.dim} does not match q dim {q.dim}")
-    return q.mu[None, :] + q.sigma[None, :] * noise.epsilons
+def sample_reparam(q: MeanFieldGaussian, noise: np.ndarray) -> np.ndarray:
+    """theta_k = mu + sigma * eps_k, one row per row eps_k of the K x d noise."""
+    if noise.ndim != 2 or noise.shape[1] != q.dim:
+        raise ValueError(f"noise of shape {noise.shape} does not match q dim {q.dim}")
+    return q.mu[None, :] + q.sigma[None, :] * noise
 
 
-def _log_q_values(q: MeanFieldGaussian, noise: NoiseBlock) -> np.ndarray:
+def _log_q_values(q: MeanFieldGaussian, noise: np.ndarray) -> np.ndarray:
     # log q(theta_k) expressed through the noise: the quadratic term is
     # eps^2/2 exactly, so the parameter dependence is -sum(log sigma).
-    quad = 0.5 * (noise.epsilons**2).sum(axis=1)
+    quad = 0.5 * (noise**2).sum(axis=1)
     return -float(q.log_sigma.sum()) - 0.5 * q.dim * _LOG_2PI - quad
 
 
@@ -160,7 +161,7 @@ def _require_generic(params: DivergenceParams):
             f"or the quadrature evaluator for exact limits")
 
 
-def _model_rows(q: MeanFieldGaussian, model, data, noise: NoiseBlock, rows):
+def _model_rows(q: MeanFieldGaussian, model, data, noise: np.ndarray, rows):
     """(a, G) at the samples of q and noise: the caller's evaluated rows as
     they are, non-finite values included so that the training loop's
     divergence accounting sees them, or else one batched model call that
@@ -178,38 +179,31 @@ def _model_rows(q: MeanFieldGaussian, model, data, noise: NoiseBlock, rows):
 def _mc_terms(params: DivergenceParams, a: np.ndarray, b: np.ndarray):
     """The estimator value and its gradient weights (s1 - s3) / alpha."""
     alpha, beta, lam = params.alpha, params.beta, params.lam
-    log_k = math.log(a.size)
     e = np.array([lam * a - b, (lam - 1.0) * b, (alpha - 1.0) * b + beta * a])
-    m = e.max(axis=1, keepdims=True)
-    e -= m
-    z = np.exp(e, out=e)
-    total = z.sum(axis=1, keepdims=True)
-    t1, t2, t3 = (m + np.log(total)).ravel().tolist()
-    value = ((t1 - log_k) / (alpha * lam)
-             + (t2 - log_k) / (beta * lam)
-             - (t3 - log_k) / (alpha * beta))
-    z /= total
-    return value, (z[0] - z[2]) / alpha
+    t, s = lse_rows(e)
+    t1, t2, t3 = t.tolist()
+    log_k = math.log(a.size)
+    return sab_value(alpha, beta, t2 - log_k, t1 - log_k, t3 - log_k), (s[0] - s[2]) / alpha
 
 
 def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
-                           model, data, noise: NoiseBlock, rows=None):
+                           model, data, noise: np.ndarray, rows=None):
     """K-sample estimate of the divergence from q to the posterior, with its
     gradient: (value, d/d mu, d/d log sigma).  rows = (a, G), if given, are
     the model's log joints and gradients at the samples, already evaluated."""
     _require_generic(params)
     a, g = _model_rows(q, model, data, noise, rows)
     value, w = _mc_terms(params, a, _log_q_values(q, noise))
-    return value, w @ g, w @ (g * (q.sigma[None, :] * noise.epsilons))
+    return value, w @ g, w @ (g * (q.sigma[None, :] * noise))
 
 
-def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: NoiseBlock, rows=None):
+def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: np.ndarray, rows=None):
     """Reparameterized negative ELBO, the (alpha, beta) = (1, 0) path, with
     its gradient; rows as for `mc_objective_with_grad`."""
     a, g = _model_rows(q, model, data, noise, rows)
     value = float(np.mean(_log_q_values(q, noise) - a))
     d_mu = -g.mean(axis=0)
-    d_ls = -1.0 - (g * (q.sigma[None, :] * noise.epsilons)).mean(axis=0)
+    d_ls = -1.0 - (g * (q.sigma[None, :] * noise)).mean(axis=0)
     return value, d_mu, d_ls
 
 
@@ -332,7 +326,7 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
             rows = state.params[batch]  # fancy indexing copies
             mu, log_sigma = rows[:, :d], rows[:, d:]
             sigma = np.exp(log_sigma)
-            eps = np.array([noise.epsilons for noise in noises])
+            eps = np.array(noises)
             thetas = (mu[:, None, :] + sigma[:, None, :] * eps).reshape(-1, d)
             with np.errstate(all="ignore"):
                 a, g = model.log_joint_and_grad(thetas, data)

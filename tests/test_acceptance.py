@@ -280,8 +280,7 @@ def test_criterion_06_mc_sample_size_property():
     for r in range(2000):
         block = sabrng.noise_block(17, 6, r, 50, 1)
         big.append(mc_objective_with_grad(params, q_off, model, data, block)[0])
-        small.append(mc_objective_with_grad(params, q_off, model, data,
-                                            sabrng.NoiseBlock(block.epsilons[:5]))[0])
+        small.append(mc_objective_with_grad(params, q_off, model, data, block[:5])[0])
     big, small = np.array(big), np.array(small)
     se = math.sqrt(big.var(ddof=1) / big.size + small.var(ddof=1) / small.size)
     elapsed = time.time() - t0

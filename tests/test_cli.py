@@ -334,9 +334,22 @@ class TestUciCommand:
         ({"kind": "bnn", "layer_sizes": 3}, "field 'layer_sizes' must be a list, got 3"),
         ({"kind": "bnn", "layer_sizes": [3, None, 1]},
          "field 'layer_sizes' must be a finite positive number, got None"),
+        ({"kind": "bnn", "layer_sizes": [3, 3.5, 1]},
+         "field 'layer_sizes' must be an integer of at least 1, got 3.5"),
+        ({"kind": "bnn", "layer_sizes": [3, True, 1]},
+         "field 'layer_sizes' must be a finite positive number, got True"),
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "learn_noise": "false"},
+         "field 'learn_noise' must be true or false, got 'false'"),
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "learn_noise": 0},
+         "field 'learn_noise' must be true or false, got 0"),
+        ({"kind": "blr", "input_dim": 3.5}, "field 'input_dim' must be an integer of at least 1"),
+        ({"kind": "blr", "input_dim": 3, "include_bias": "no"},
+         "field 'include_bias' must be true or false, got 'no'"),
     ], ids=["prior_sigma", "kind", "list", "string", "noise_sigma_string",
             "noise_sigma_negative", "prior_sigma_nan", "layer_sizes_number",
-            "layer_sizes_null"])
+            "layer_sizes_null", "layer_sizes_fraction", "layer_sizes_bool",
+            "learn_noise_string", "learn_noise_int", "input_dim_fraction",
+            "include_bias_string"])
     def test_bad_model_config_is_config_error(self, tmp_path, csv_path, capsys, config,
                                               message):
         model_cfg = tmp_path / "model.json"
@@ -358,10 +371,19 @@ class TestUciCommand:
             raise Captured
 
         monkeypatch.setattr(cli, "nested_cv", fake_nested_cv)
+        # the preset replaces --mc-samples 1 before it is validated
         with pytest.raises(Captured):
-            run_cli("uci", "--csv", csv_path, "--full", "--out", tmp_path / "x")
+            run_cli("uci", "--csv", csv_path, "--full", "--mc-samples", 1,
+                    "--out", tmp_path / "x")
         assert seen["grid"].step == 0.25 and len(seen["grid"].cells()) == 137
         assert (seen["k1"], seen["k2"]) == (10, 2)
+        assert seen["config"] == CVRunConfig(hidden=(50, 50), mc_samples=25, steps=500)
+        # config.json records what the run used, and replays to the same run
+        config = read_json(tmp_path / "x" / "config.json")
+        assert {key: config[key] for key in cli.UCI_FULL_SCALE} == cli.UCI_FULL_SCALE
+        seen.clear()
+        with pytest.raises(Captured):
+            run_cli("uci", "--config", tmp_path / "x" / "config.json")
         assert seen["config"] == CVRunConfig(hidden=(50, 50), mc_samples=25, steps=500)
 
     def test_config_command_mismatch(self, tmp_path, csv_path):
@@ -440,6 +462,30 @@ class TestArgumentErrors:
         path.write_text(json.dumps(config))
         assert run_cli("toy", "--config", path) == 2
         assert "config file lacks field(s) seed_base" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["csv-dir", "config-dir", "spec-dir", "csv-not-utf8",
+                                      "csv-target-only", "out-file", "out-under-file"])
+    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, case):
+        folder, file = tmp_path / "folder", tmp_path / "file.txt"
+        folder.mkdir()
+        file.write_bytes(b"\xff\xfe,y\n1,2\n")  # not UTF-8
+        csv_path, target_only = tmp_path / "data.csv", tmp_path / "y.csv"
+        save_csv(gen_nonlinear(40, 3, seed=11), csv_path)
+        target_only.write_text("y\n1\n2\n3\n4\n")
+        out = tmp_path / "run"
+        uci = ["uci", "--k1", 2]
+        args, named = {
+            "csv-dir": (uci + ["--csv", folder, "--out", out], folder),
+            "config-dir": (["toy", "--config", folder], folder),
+            "spec-dir": (["divergence", "--alpha", 1, "--beta", 0.5, "--p", f"@{folder}",
+                          "--q", "gaussian:0,1", "--out", out], folder),
+            "csv-not-utf8": (uci + ["--csv", file, "--out", out], file),
+            "csv-target-only": (uci + ["--csv", target_only, "--out", out], target_only),
+            "out-file": (uci + ["--csv", csv_path, "--out", file], file),
+            "out-under-file": (uci + ["--csv", csv_path, "--out", file / "sub"], file / "sub"),
+        }[case]
+        assert run_cli(*args) == 2
+        assert str(named) in capsys.readouterr().err
 
 
 class TestToyRefusesWhatTheTrainerRefuses:

@@ -25,6 +25,7 @@ from sabvi.divergence import (
     gaussian_oracle,
     gaussian_pair,
     gaussian_power_log_integral,
+    lse_rows,
 )
 
 from conftest import sample_gaussian_pair
@@ -266,6 +267,21 @@ class TestStructuralProperties:
             swapped = eval_sab(DivergenceParams(b, a), q, p)
             assert abs(forward - swapped) < 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @given(params=_plane_points(), seed=st.integers(0, 2**32 - 1))
+    def test_exchanging_the_densities_and_the_orders_in_every_region(self, params, seed):
+        # D[a,b](p, q) = D[b,a](q, p).  The a = 0 line is the b = 0 line
+        # mirrored and the origin's moments only change sign, so those
+        # agree bit for bit; elsewhere the exponents add in another order.
+        _, p, q = sample_gaussian_pair(np.random.default_rng(seed), n=801)
+        forward = eval_sab(params, p, q)
+        mirrored = eval_sab(DivergenceParams(params.beta, params.alpha), q, p)
+        if classify_region(params) in (Region.ALPHA_ZERO, Region.BETA_ZERO,
+                                       Region.BOTH_ZERO):
+            assert mirrored == forward
+        else:
+            assert abs(mirrored - forward) <= 1e-10 * max(1.0, abs(forward))
+
     def test_renyi_line_reduction(self, rng):
         for _ in range(10):
             _, p, q = sample_gaussian_pair(rng)
@@ -331,7 +347,44 @@ class TestContinuity:
                 assert gap5 < gap4 / 5.0, name
 
 
+class TestKernel:
+    @staticmethod
+    def _reference(row):
+        m = row.max()
+        z = np.exp(row - m)
+        total = z.sum()
+        return m + np.log(total), z / total
+
+    def test_grid_row_matches_a_plain_log_sum_exp_bit_for_bit(self):
+        p, q = gaussian_pair(-0.3, 0.8, 0.6, 1.4)
+        row = QuadratureMeasure.trapezoid(p).log_weights + 1.7 * p.log_values - 0.4 * q.log_values
+        t, s = lse_rows(row.copy())
+        want_t, want_s = self._reference(row)
+        assert t == want_t
+        np.testing.assert_array_equal(s, want_s)
+
+    def test_mc_stack_matches_a_plain_log_sum_exp_per_row_bit_for_bit(self):
+        g = np.random.default_rng(3)
+        a, b = g.normal(-40.0, 15.0, 25), g.normal(-3.0, 1.0, 25)
+        alpha, beta, lam = 1.3, -0.45, 0.85
+        e = np.array([lam * a - b, (lam - 1.0) * b, (alpha - 1.0) * b + beta * a])
+        t, s = lse_rows(e.copy())
+        assert t.shape == (3,) and s.shape == (3, 25)
+        for i in range(3):
+            want_t, want_s = self._reference(e[i])
+            assert t[i] == want_t
+            np.testing.assert_array_equal(s[i], want_s)
+
+
 class TestFlooredTailGuard:
+    @pytest.mark.parametrize("params", [DivergenceParams(1.4, 0.7), DivergenceParams(0.0, 0.8),
+                                        DivergenceParams(0.8, 0.0), DivergenceParams(0.8, -0.8)],
+                             ids=["generic", "alpha_zero", "beta_zero", "sum_zero"])
+    def test_measure_without_mass_raises(self, params):
+        p, q = gaussian_pair(0.0, 1.0, 0.5, 1.2, n=101)
+        with pytest.raises(EvaluationError, match="no mass to integrate"):
+            eval_sab(params, p, q, measure=QuadratureMeasure(np.zeros(101)))
+
     def test_negative_exponent_on_clamped_tail_raises(self):
         # narrow vs wide on a shared wide grid: the narrow density clamps,
         # and a negative exponent on it would be floor-driven garbage

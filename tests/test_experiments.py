@@ -93,6 +93,18 @@ class TestCSVAndNormalization:
         with pytest.raises(CSVFormatError, match="target"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("text,message", [
+        ("y\n1\n2\n", "no feature columns beside the target 'y'"),
+        ("x,y,y\n1,2,3\n", "the header names column 'y' twice"),
+        ("x,x,y\n1,2,3\n", "the header names column 'x' twice"),
+        ("x, y,y \n1,2,3\n", "the header names column 'y' twice"),
+    ], ids=["target-only", "target-twice", "feature-twice", "padded-twice"])
+    def test_header_without_one_target_and_a_feature_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CSVFormatError, match=message):
+            load_csv(path, "y")
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,y\n1,2\n3\n")

@@ -214,7 +214,7 @@ class TestPredict:
         q = MeanFieldGaussian(rng.normal(0, 0.5, model.dim), rng.normal(-1, 0.3, model.dim))
         X = rng.uniform(-1, 1, (11, 3))
         summary = predict(q, model, X, draws=draws, seed=4, stream=9)
-        eps = sabrng.noise_block(4, 9, 0, draws, model.dim).epsilons
+        eps = sabrng.noise_block(4, 9, 0, draws, model.dim)
         thetas = q.mu + np.exp(q.log_sigma) * eps
         outputs = np.stack([model.predict_f(theta, X) for theta in thetas])
         if getattr(model, "learn_noise", False):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,5 +21,12 @@ def test_noise_stream_blocks_match_fresh_generators(seed, stream, steps, data):
         k, d = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
         block = noise.block(step, k, d)
         want = rng.generator(seed, stream, step).standard_normal((k, d))
-        np.testing.assert_array_equal(block.epsilons, want)
-        np.testing.assert_array_equal(rng.noise_block(seed, stream, step, k, d).epsilons, want)
+        np.testing.assert_array_equal(block, want)
+        np.testing.assert_array_equal(rng.noise_block(seed, stream, step, k, d), want)
+
+
+def test_noise_blocks_are_read_only():
+    for block in (rng.NoiseStream(3, 1).block(2, 4, 3), rng.noise_block(3, 1, 2, 4, 3)):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0

@@ -40,14 +40,14 @@ def conjugate_problem(seed=5, n=25):
 class TestSampleReparam:
     def test_zero_noise_returns_mean(self):
         q = MeanFieldGaussian(np.array([1.0, -2.0]), np.array([0.3, -0.5]))
-        noise = sabrng.NoiseBlock(np.zeros((4, 2)))
+        noise = np.zeros((4, 2))
         np.testing.assert_array_equal(sample_reparam(q, noise),
                                       np.tile(q.mu, (4, 1)))
 
     def test_standard_q_returns_noise(self):
         q = MeanFieldGaussian(np.zeros(3), np.zeros(3))
         noise = sabrng.noise_block(1, 0, 0, 5, 3)
-        np.testing.assert_array_equal(sample_reparam(q, noise), noise.epsilons)
+        np.testing.assert_array_equal(sample_reparam(q, noise), noise)
 
     def test_sample_mean_clt_bound(self):
         q = MeanFieldGaussian(np.array([0.7]), np.array([math.log(2.0)]))
@@ -189,8 +189,7 @@ class TestSampleSizeOrdering:
         for r in range(400):
             block = sabrng.noise_block(17, 6, r, 50, 1)
             v50.append(mc_objective_with_grad(params, q_off, model, data, block)[0])
-            v5.append(mc_objective_with_grad(params, q_off, model, data,
-                                             sabrng.NoiseBlock(block.epsilons[:5]))[0])
+            v5.append(mc_objective_with_grad(params, q_off, model, data, block[:5])[0])
         v50, v5 = np.array(v50), np.array(v5)
         se = math.sqrt(v50.var(ddof=1) / v50.size + v5.var(ddof=1) / v5.size)
         assert v50.mean() >= v5.mean() - 2 * se
