@@ -25,7 +25,8 @@ import numpy as np
 
 from . import gradcheck, vi
 from .density_fit import FitObjective, Gaussian1D, fit_gaussian
-from .density_spec import SpecError, parse_density_spec, shared_grid, tabulate, tabulate_pair
+from .density_spec import (SpecError, parse_density_spec, read_json_file, shared_grid, tabulate,
+                           tabulate_pair)
 from .divergence import DivergenceParams, DomainError, EvaluationError, classify_region, eval_sab
 from .experiments import (
     CSVFormatError,
@@ -235,10 +236,8 @@ def cmd_uci(config: dict, outdir: Path) -> int:
                          mc_samples=config["mc_samples"], steps=config["steps"],
                          learning_rate=config["learning_rate"])
     if config.get("model_config"):
-        with open(config["model_config"]) as fh:
-            model_cfg = json.load(fh)
         try:
-            model = model_from_config(model_cfg)
+            model = model_from_config(read_json_file(config["model_config"]))
         except ValueError as exc:
             raise ConfigError(f"--model-config: {exc}") from exc
         if not isinstance(model, BNNModel):
@@ -373,8 +372,7 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     """Either load a previous run's config verbatim or snapshot the CLI args,
     then apply the `uci --full` preset, which a replayed config already holds."""
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        config = read_json_file(args.config)
         if not isinstance(config, dict):
             raise ConfigError(f"config file must hold a JSON object, "
                               f"got {type(config).__name__}")

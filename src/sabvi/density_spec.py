@@ -35,6 +35,18 @@ class SpecError(ValueError):
     pass
 
 
+def read_json_file(path):
+    """The JSON value a file holds; a file that is not UTF-8 text or not
+    valid JSON is a SpecError naming its path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path}: not valid JSON ({exc})") from None
+
+
 class GaussianSpec:
     def __init__(self, mean: float, stddev: float):
         self.mean = float(mean)
@@ -65,8 +77,7 @@ def parse_density_spec(text):
         if text == "mixture:default":
             return SkewMixtureTarget.default()
         if text.startswith("@"):
-            with open(text[1:]) as fh:
-                obj = json.load(fh)
+            obj = read_json_file(text[1:])
         elif text.startswith("{"):
             obj = json.loads(text)
         else:

@@ -192,18 +192,19 @@ def save_csv(dataset: Dataset, path, target_column: str = "y"):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
 
 
-def _moments(dataset: Dataset, rows=slice(None)):
-    """Feature means and stds, target mean and std over the given rows."""
+def _moments(dataset: Dataset, rows=slice(None), where: str = ""):
+    """Feature means and stds, target mean and std over the given rows; a
+    constant column there is a CSVFormatError naming it, followed by `where`."""
     X, y = dataset.X[rows], dataset.y[rows]
-    x_std = X.std(axis=0)
-    for i, s in enumerate(x_std):
-        if s <= 0:
-            name = dataset.feature_names[i] if dataset.feature_names else f"column {i}"
-            raise ValueError(f"zero variance feature {name!r}")
-    y_std = float(y.std())
-    if y_std <= 0:
-        raise ValueError("zero variance target")
-    return X.mean(axis=0), x_std, float(y.mean()), y_std
+    # max == min, not std == 0: the std of equal values can round to 1e-17
+    constant = np.flatnonzero(X.max(axis=0) == X.min(axis=0))
+    if constant.size:
+        i = constant[0]
+        name = dataset.feature_names[i] if dataset.feature_names else f"column {i}"
+        raise CSVFormatError(f"zero variance feature {name!r}{where}")
+    if y.max() == y.min():
+        raise CSVFormatError(f"zero variance target{where}")
+    return X.mean(axis=0), X.std(axis=0), float(y.mean()), float(y.std())
 
 
 def normalize(dataset: Dataset) -> Dataset:
@@ -358,6 +359,9 @@ class GridSearchSpec:
     step: float = 0.25
 
     def __post_init__(self):
+        for name in ("step", "alpha_range", "beta_range"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.alpha_range[0] > self.alpha_range[1] or self.beta_range[0] > self.beta_range[1]:
@@ -471,7 +475,7 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     cell_params = [DivergenceParams(*cell) for cell in cells]
     for f, test_idx in enumerate(outer_folds):
         train_idx = np.concatenate([fold for j, fold in enumerate(outer_folds) if j != f])
-        xm, xs, ym, ys = _moments(dataset, train_idx)
+        xm, xs, ym, ys = _moments(dataset, train_idx, f" on the training rows of outer fold {f}")
         X_tr = (dataset.X[train_idx] - xm) / xs
         y_tr = (dataset.y[train_idx] - ym) / ys
         y_tr_clean = (y_clean[train_idx] - ym) / ys

@@ -27,7 +27,7 @@ from .density_fit import (
 )
 from .divergence import DivergenceParams, GridDensity
 from .models import BLRModel, BNNModel, XYData, check_log_joint_gradient
-from .vi import MeanFieldGaussian, mc_objective_with_grad
+from .vi import MeanFieldGaussian, mc_objective_with_grad, sample_rows
 
 FIT_GRAD_TOL = 1e-4
 MC_GRAD_TOL = 1e-4
@@ -131,12 +131,12 @@ def mc_gradient_suite(n_cases: int = 20, seed: int = 0, h: float = 1e-5,
         params = _random_generic_params(g)
         noise = rng.noise_block(seed, rng.compose_stream(rng.STREAM_DATA, 5),
                                 case, n_samples, dim)
-        _, d_mu, d_ls = mc_objective_with_grad(params, q, model, data, noise)
+        _, d_mu, d_ls = mc_objective_with_grad(params, sample_rows(q, model, data, noise))
         analytic = np.concatenate([d_mu, d_ls]) + perturb
 
         def value(mu, log_sigma):
-            return mc_objective_with_grad(params, MeanFieldGaussian(mu, log_sigma),
-                                          model, data, noise)[0]
+            rows = sample_rows(MeanFieldGaussian(mu, log_sigma), model, data, noise)
+            return mc_objective_with_grad(params, rows)[0]
 
         fd = np.empty(2 * dim)
         for i in range(dim):

@@ -19,10 +19,12 @@ lam c and term3 by beta c, which cancel exactly in the weighted sum: the
 estimator never needs the marginal likelihood.
 
 Gradients are exact derivatives of the estimator with the noise block held
-fixed.  One ``model.log_joint_and_grad`` call on the K x d sample rows
-gives every a_k and its gradient G_k, so that d a_k/d mu = G_k and
+fixed.  The estimator reads the samples only through their `SampleRows`:
+a_k, b_k, G_k = d a_k/d theta (so d a_k/d mu = G_k) and
 d a_k/d log sigma = G_k * sigma * eps_k; b_k depends on the variational
-parameters only through -sum(log sigma) once reparameterized.  Each term
+parameters only through -sum(log sigma) once reparameterized.  `_evaluate`
+makes them, with the one ``model.log_joint_and_grad`` call of this module,
+and the estimators are functions of one cell's rows.  Each term
 differentiates into a softmax-weighted average, and with s1, s3 the
 softmax weights of terms 1 and 3 the whole gradient is one weight vector
 
@@ -34,11 +36,11 @@ the three -sum(log sigma) contributions add up to
 (alpha + beta - lam) / (alpha beta lam) = 0 per coordinate.
 
 Training runs C cells (settings of (alpha, beta)) that share q0, model
-and data as one batch: per step, one model call on all C x K sample rows,
-one estimator call per cell on its K evaluated rows (``rows=(a, G)``),
-one ADAM update over the stacked rows.  A model row's log joint does not
-depend on the other rows of its batch, so each cell's outcome is bit for
-bit that of training it alone; `train` is the one-cell batch.
+and data as one batch: per step, one `_evaluate` of all C x K sample rows,
+one estimator call per cell on its K rows, one ADAM update over the
+stacked rows.  A model row's log joint does not depend on the other rows
+of its batch, so each cell's outcome is bit for bit that of training it
+alone; `train` is the one-cell batch.
 
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,16 +115,6 @@ class MeanFieldGaussian:
         return self.mu.size
 
     @classmethod
-    def _unchecked(cls, mu: np.ndarray, log_sigma: np.ndarray, sigma: np.ndarray):
-        """A q over vectors the caller has built, without the constructor's
-        checks and copies: the training loop's rows start from a checked q0
-        and stay finite, since ADAM takes only finite steps."""
-        q = object.__new__(cls)
-        for name, value in (("mu", mu), ("log_sigma", log_sigma), ("sigma", sigma)):
-            object.__setattr__(q, name, value)
-        return q
-
-    @classmethod
     def initial(cls, dim: int, log_sigma: float = DEFAULT_INIT_LOG_SIGMA):
         return cls(np.zeros(dim), np.full(dim, log_sigma))
 
@@ -146,11 +139,38 @@ def sample_reparam(q: MeanFieldGaussian, noise: np.ndarray) -> np.ndarray:
     return q.mu[None, :] + q.sigma[None, :] * noise
 
 
-def _log_q_values(q: MeanFieldGaussian, noise: np.ndarray) -> np.ndarray:
-    # log q(theta_k) expressed through the noise: the quadratic term is
-    # eps^2/2 exactly, so the parameter dependence is -sum(log sigma).
-    quad = 0.5 * (noise**2).sum(axis=1)
-    return -float(q.log_sigma.sum()) - 0.5 * q.dim * _LOG_2PI - quad
+class SampleRows(NamedTuple):
+    """What the estimators read of K samples theta_k = mu + sigma * eps_k."""
+
+    a: np.ndarray              # K: log p(theta_k, X)
+    b: np.ndarray              # K: log q(theta_k)
+    da_dmu: np.ndarray         # K x d: G_k, the gradient of a_k
+    da_dlog_sigma: np.ndarray  # K x d: G_k * sigma * eps_k
+
+
+def _evaluate(mu: np.ndarray, log_sigma: np.ndarray, sigma: np.ndarray, eps: np.ndarray,
+              model, data) -> SampleRows:
+    """The sample rows of C stacked q rows (C x d, sigma = exp(log_sigma))
+    under C x K x d noise, each field with a leading C axis, from one
+    ``model.log_joint_and_grad`` call on the C x K samples.  log q(theta_k)
+    is expressed through the noise: its quadratic term is eps^2 / 2
+    exactly, so the parameter dependence is -sum(log sigma)."""
+    c, k, d = eps.shape
+    scaled = sigma[:, None, :] * eps
+    a, g = model.log_joint_and_grad((mu[:, None, :] + scaled).reshape(-1, d), data)
+    g = g.reshape(c, k, d)
+    b = (-log_sigma.sum(axis=1) - 0.5 * d * _LOG_2PI)[:, None] - 0.5 * (eps**2).sum(axis=2)
+    return SampleRows(a.reshape(c, k), b, g, g * scaled)
+
+
+def sample_rows(q: MeanFieldGaussian, model, data, noise: np.ndarray) -> SampleRows:
+    """The sample rows of one q under K x d noise: `_evaluate` of one q row."""
+    if noise.ndim != 2 or noise.shape[1] != q.dim:
+        raise ValueError(f"noise of shape {noise.shape} does not match q dim {q.dim}")
+    if model.dim != q.dim:
+        raise ValueError("model dim does not match q dim")
+    rows = _evaluate(q.mu[None], q.log_sigma[None], q.sigma[None], noise[None], model, data)
+    return SampleRows(*(f[0] for f in rows))
 
 
 def _require_generic(params: DivergenceParams):
@@ -159,21 +179,6 @@ def _require_generic(params: DivergenceParams):
             f"MC estimator is undefined at exact limit parameters "
             f"(alpha={params.alpha}, beta={params.beta}); use near-limit values "
             f"or the quadrature evaluator for exact limits")
-
-
-def _model_rows(q: MeanFieldGaussian, model, data, noise: np.ndarray, rows):
-    """(a, G) at the samples of q and noise: the caller's evaluated rows as
-    they are, non-finite values included so that the training loop's
-    divergence accounting sees them, or else one batched model call that
-    raises on a non-finite log joint."""
-    if rows is not None:
-        return rows
-    if model.dim != q.dim:
-        raise ValueError("model dim does not match q dim")
-    a, grads = model.log_joint_and_grad(sample_reparam(q, noise), data)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("model log_joint returned a non-finite value")
-    return a, grads
 
 
 def _mc_terms(params: DivergenceParams, a: np.ndarray, b: np.ndarray):
@@ -186,25 +191,20 @@ def _mc_terms(params: DivergenceParams, a: np.ndarray, b: np.ndarray):
     return sab_value(alpha, beta, t2 - log_k, t1 - log_k, t3 - log_k), (s[0] - s[2]) / alpha
 
 
-def mc_objective_with_grad(params: DivergenceParams, q: MeanFieldGaussian,
-                           model, data, noise: np.ndarray, rows=None):
+def mc_objective_with_grad(params: DivergenceParams, rows: SampleRows):
     """K-sample estimate of the divergence from q to the posterior, with its
-    gradient: (value, d/d mu, d/d log sigma).  rows = (a, G), if given, are
-    the model's log joints and gradients at the samples, already evaluated."""
+    gradient, from the sample rows of q: (value, d/d mu, d/d log sigma).  A
+    non-finite row gives a non-finite value."""
     _require_generic(params)
-    a, g = _model_rows(q, model, data, noise, rows)
-    value, w = _mc_terms(params, a, _log_q_values(q, noise))
-    return value, w @ g, w @ (g * (q.sigma[None, :] * noise))
+    value, w = _mc_terms(params, rows.a, rows.b)
+    return value, w @ rows.da_dmu, w @ rows.da_dlog_sigma
 
 
-def kl_elbo_with_grad(q: MeanFieldGaussian, model, data, noise: np.ndarray, rows=None):
+def kl_elbo_with_grad(rows: SampleRows):
     """Reparameterized negative ELBO, the (alpha, beta) = (1, 0) path, with
-    its gradient; rows as for `mc_objective_with_grad`."""
-    a, g = _model_rows(q, model, data, noise, rows)
-    value = float(np.mean(_log_q_values(q, noise) - a))
-    d_mu = -g.mean(axis=0)
-    d_ls = -1.0 - (g * (q.sigma[None, :] * noise)).mean(axis=0)
-    return value, d_mu, d_ls
+    its gradient, from the sample rows of q as for `mc_objective_with_grad`."""
+    value = float(np.mean(rows.b - rows.a))
+    return value, -rows.da_dmu.mean(axis=0), -1.0 - rows.da_dlog_sigma.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +322,17 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     for step in range(opt.steps):
         for start in range(0, len(live), per_call):
             batch = live[start:start + per_call]
-            noises = [noise_streams[c].block(step, k, d) for c in batch]
+            eps = np.array([noise_streams[c].block(step, k, d) for c in batch])
             rows = state.params[batch]  # fancy indexing copies
-            mu, log_sigma = rows[:, :d], rows[:, d:]
-            sigma = np.exp(log_sigma)
-            eps = np.array(noises)
-            thetas = (mu[:, None, :] + sigma[:, None, :] * eps).reshape(-1, d)
             with np.errstate(all="ignore"):
-                a, g = model.log_joint_and_grad(thetas, data)
+                evaluated = _evaluate(rows[:, :d], rows[:, d:], np.exp(rows[:, d:]), eps,
+                                      model, data)
                 for i, c in enumerate(batch):
-                    q = MeanFieldGaussian._unchecked(mu[i], log_sigma[i], sigma[i])
-                    rows = a[i * k:(i + 1) * k], g[i * k:(i + 1) * k]
+                    cell_rows = SampleRows(*(f[i] for f in evaluated))
                     if kl_paths[c]:
-                        value, d_mu, d_ls = kl_elbo_with_grad(q, model, data, noises[i], rows)
+                        value, d_mu, d_ls = kl_elbo_with_grad(cell_rows)
                     else:
-                        value, d_mu, d_ls = mc_objective_with_grad(cells[c], q, model, data,
-                                                                   noises[i], rows)
+                        value, d_mu, d_ls = mc_objective_with_grad(cells[c], cell_rows)
                     traces[c, step] = value
                     grads[c, :d] = d_mu
                     grads[c, d:] = d_ls

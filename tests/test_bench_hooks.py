@@ -29,22 +29,26 @@ def bench(monkeypatch):
     return importlib.import_module("layers"), importlib.import_module("tracing")
 
 
-def _small_training(model=BNNModel(layer_sizes=(2, 3, 1)), steps=7):
+def _small_training(model=BNNModel(layer_sizes=(2, 3, 1)), steps=7,
+                    params=DivergenceParams(1.2, 0.4)):
     g = np.random.default_rng(0)
     data = XYData(g.uniform(-1, 1, (8, 2)), g.standard_normal(8))
-    return vi.train(DivergenceParams(1.2, 0.4), vi.MeanFieldGaussian.initial(model.dim),
+    return vi.train(params, vi.MeanFieldGaussian.initial(model.dim),
                     model, data, vi.MCConfig(3, 0), AdamConfig(steps=steps))
 
 
 def test_traced_targets_patch_and_restore(bench):
+    # both estimators' results pass through the counters' unpacking
     layers, tracing = bench
     originals = {name: vars(experiments)[name] for name in ("train", "predict")}
-    tracer = tracing.Tracer()
-    with tracer.patched(layers.targets(layers.Counters())):
+    tracer, counters = tracing.Tracer(), layers.Counters()
+    with tracer.patched(layers.targets(counters)):
         assert vars(experiments)["train"] is not originals["train"]
         _small_training(steps=2)
+        _small_training(steps=3, params=DivergenceParams(*vi.KL_CORNER))
     assert {name: vars(experiments)[name] for name in originals} == originals
-    assert [s[0] for s in tracer.spans].count("vi.estimator") == 2
+    assert [s[0] for s in tracer.spans].count("vi.estimator") == 5
+    assert counters.skipped_steps == 0
 
 
 def test_step_count_is_one_estimator_call_per_adam_step(bench):

@@ -7,7 +7,7 @@ import pytest
 from sabvi import cli, experiments, vi
 from sabvi.cli import main
 from sabvi.divergence import DivergenceParams, DomainError, gaussian_log_pdf
-from sabvi.experiments import CVRunConfig, gen_nonlinear, save_csv
+from sabvi.experiments import CVRunConfig, Dataset, gen_nonlinear, save_csv
 from sabvi.models import BLRModel, XYData
 from sabvi.optim import AdamConfig
 from sabvi.vi import TrainingDiverged
@@ -486,6 +486,49 @@ class TestArgumentErrors:
         }[case]
         assert run_cli(*args) == 2
         assert str(named) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("fault,message", [(b'{"kind": "gaussian",\n', "not valid JSON"),
+                                               (b"\xff\xfe", "not UTF-8 text")],
+                             ids=["truncated", "not-utf8"])
+    @pytest.mark.parametrize("flag", ["--config", "--p", "--model-config"])
+    def test_unreadable_json_file_exits_2_naming_it(self, tmp_path, capsys, flag, fault,
+                                                    message):
+        path, csv_path, out = tmp_path / "input.json", tmp_path / "data.csv", tmp_path / "run"
+        path.write_bytes(fault)
+        save_csv(gen_nonlinear(40, 3, seed=11), csv_path)
+        args = {
+            "--config": ["toy", "--config", path],
+            "--p": ["divergence", "--alpha", 1, "--beta", 0.5, "--p", f"@{path}",
+                    "--q", "gaussian:0,1", "--out", out],
+            "--model-config": ["uci", "--csv", csv_path, "--model-config", path,
+                               "--out", out],
+        }[flag]
+        assert run_cli(*args) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    # (value of most rows, value of row 7) of feature 'b', or None for a
+    # constant target.  Only row 7 sets 'b' apart in the rare cases, so the
+    # outer fold that holds it out trains on a constant column; after
+    # normalization, the std of 2.7's copies rounds to 5.6e-17, not 0.
+    @pytest.mark.parametrize("column,message", [
+        ((2.0, 2.0), "zero variance feature 'b'"),
+        (None, "zero variance target"),
+        ((0.0, 1.0), "zero variance feature 'b' on the training rows of outer fold"),
+        ((2.7, 3.7), "zero variance feature 'b' on the training rows of outer fold"),
+    ], ids=["feature", "target", "rare-feature", "rare-feature-rounded"])
+    def test_constant_csv_column_exits_2_naming_it(self, tmp_path, capsys, column, message):
+        ds = gen_nonlinear(40, 3, seed=11)
+        X, y = ds.X.copy(), ds.y.copy()
+        if column is None:
+            y[:] = 0.5
+        else:
+            X[:, 1], X[7, 1] = column
+        path = tmp_path / "data.csv"
+        save_csv(Dataset.raw(X, y, feature_names=("a", "b", "c")), path)
+        assert run_cli("uci", "--csv", path, "--grid-step", 2.0, "--hidden", 3, "--steps", 2,
+                       "--mc-samples", 2, "--out", tmp_path / "run") == 2
+        assert message in capsys.readouterr().err
 
 
 class TestToyRefusesWhatTheTrainerRefuses:

@@ -208,6 +208,11 @@ class TestGridSearchSpec:
             GridSearchSpec(step=0.0)
         with pytest.raises(ValueError):
             GridSearchSpec(alpha_range=(2.0, 1.0))
+        for field, value in [("step", math.nan), ("step", math.inf),
+                             ("alpha_range", (math.nan, 1.0)), ("alpha_range", (0.0, math.inf)),
+                             ("beta_range", (-math.inf, 1.0)), ("beta_range", (0.0, math.nan))]:
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                GridSearchSpec(**{field: value})
 
 
 class TestToyExperiment:
@@ -326,7 +331,8 @@ class TestNestedCV:
                          feature_names=("a", "b", "c", "spike"))
         spec = GridSearchSpec(alpha_range=(1.0, 1.0), beta_range=(0.0, 0.0), step=0.5)
         cfg = CVRunConfig(hidden=(3,), mc_samples=2, steps=2, predict_draws=5)
-        with pytest.raises(ValueError, match="zero variance feature 'spike'"):
+        with pytest.raises(CSVFormatError,
+                           match="feature 'spike' on the training rows of outer fold"):
             nested_cv(ds, spec, k1=2, k2=2, config=cfg, seed=1)
 
     # three cells (0.5, 0.25), (1, 0.25), (1.5, 0.25) that share each split

@@ -16,10 +16,12 @@ from sabvi.optim import AdamConfig, AdamState, adam_step
 from sabvi.vi import (
     MCConfig,
     MeanFieldGaussian,
+    SampleRows,
     TrainingDiverged,
     kl_elbo_with_grad,
     mc_objective_with_grad,
     sample_reparam,
+    sample_rows,
     train,
     train_batch,
 )
@@ -61,6 +63,38 @@ class TestSampleReparam:
             sample_reparam(q, sabrng.noise_block(0, 0, 0, 3, 5))
 
 
+class TestSampleRows:
+    @pytest.mark.parametrize("layer_sizes,learn_noise", [(None, False), ((2, 3, 1), True)],
+                             ids=["blr", "bnn-learn-noise"])
+    def test_stack_equals_each_q_alone_bit_for_bit(self, layer_sizes, learn_noise):
+        model, data = _regression_problem(layer_sizes, learn_noise)
+        g = np.random.default_rng(3)
+        mu = g.uniform(-0.5, 0.5, (3, model.dim))
+        log_sigma = g.uniform(-2.0, 0.0, (3, model.dim))
+        eps = np.array([sabrng.noise_block(6, c, 0, 4, model.dim) for c in range(3)])
+        stacked = vi._evaluate(mu, log_sigma, np.exp(log_sigma), eps, model, data)
+        for c in range(3):
+            alone = sample_rows(MeanFieldGaussian(mu[c], log_sigma[c]), model, data, eps[c])
+            for field, whole, own in zip(SampleRows._fields, stacked, alone):
+                assert np.array_equal(whole[c], own), field
+
+    def test_b_is_the_log_density_of_q(self):
+        model = GaussianJointModel(0.0, 1.0, dim=3)
+        q = MeanFieldGaussian(np.array([0.4, -1.0, 2.0]), np.array([-0.7, 0.3, 1.1]))
+        noise = sabrng.noise_block(5, 0, 0, 8, 3)
+        z = (sample_reparam(q, noise) - q.mu) / q.sigma
+        direct = (-0.5 * z**2 - q.log_sigma - 0.5 * math.log(2 * math.pi)).sum(axis=1)
+        np.testing.assert_allclose(sample_rows(q, model, None, noise).b, direct,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_noise_of_another_width_is_refused(self, width):
+        q = MeanFieldGaussian(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="does not match q dim 2"):
+            sample_rows(q, GaussianJointModel(0, 1, dim=2), None,
+                        sabrng.noise_block(0, 0, 0, 4, width))
+
+
 class TestMCObjective:
     def test_matches_raw_space_brute_force(self):
         model = GaussianJointModel(0.6, 1.2)
@@ -76,15 +110,15 @@ class TestMCObjective:
         raw = (math.log(np.mean(pj**lam / qd)) / (al * lam)
                + math.log(np.mean(qd**(lam - 1))) / (be * lam)
                - math.log(np.mean(qd**(lam - 1) * (pj / qd)**be)) / (al * be))
-        value = mc_objective_with_grad(params, q, model, None, noise)[0]
+        value = mc_objective_with_grad(params, sample_rows(q, model, None, noise))[0]
         assert value == pytest.approx(raw, abs=1e-12)
 
     def test_near_zero_at_exact_posterior(self):
         model, data, m, s = conjugate_problem()
         q_star = MeanFieldGaussian(np.array([m]), np.array([math.log(s)]))
         params = DivergenceParams.from_lambda(1.8, 0.8)
-        values = [mc_objective_with_grad(params, q_star, model, data,
-                                         sabrng.noise_block(11, 7, r, 10_000, 1))[0]
+        values = [mc_objective_with_grad(params, sample_rows(
+                      q_star, model, data, sabrng.noise_block(11, 7, r, 10_000, 1)))[0]
                   for r in range(10)]
         assert abs(np.mean(values)) < 0.02
 
@@ -92,8 +126,8 @@ class TestMCObjective:
         model, data, m, s = conjugate_problem()
         q_off = MeanFieldGaussian(np.array([m + s]), np.array([math.log(2 * s)]))
         params = DivergenceParams.from_lambda(1.8, 0.8)
-        values = [mc_objective_with_grad(params, q_off, model, data,
-                                         sabrng.noise_block(12, 7, r, 200, 1))[0]
+        values = [mc_objective_with_grad(params, sample_rows(
+                      q_off, model, data, sabrng.noise_block(12, 7, r, 200, 1)))[0]
                   for r in range(100)]
         assert np.mean(values) > 0
 
@@ -109,8 +143,9 @@ class TestMCObjective:
         noise = sabrng.noise_block(seed, 0, 0, k, d)
         base_model = GaussianJointModel(0.5, 1.0, dim=d)
         scaled_model = GaussianJointModel(0.5, 1.0, log_scale=c, dim=d)
-        v0, g0_mu, g0_ls = mc_objective_with_grad(params, q, base_model, None, noise)
-        v1, g1_mu, g1_ls = mc_objective_with_grad(params, q, scaled_model, None, noise)
+        v0, g0_mu, g0_ls = mc_objective_with_grad(params, sample_rows(q, base_model, None, noise))
+        v1, g1_mu, g1_ls = mc_objective_with_grad(params,
+                                                  sample_rows(q, scaled_model, None, noise))
         assert abs(v1 - v0) < 1e-10
         assert np.max(np.abs(g1_mu - g0_mu)) < 1e-10
         assert np.max(np.abs(g1_ls - g0_ls)) < 1e-10
@@ -120,41 +155,27 @@ class TestMCObjective:
         q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
         noise = sabrng.noise_block(0, 0, 0, 4, 1)
         with pytest.raises(DomainError, match="quadrature"):
-            mc_objective_with_grad(DivergenceParams(alpha, beta), q, GaussianJointModel(0, 1),
-                                   None, noise)
-
-    def test_non_finite_log_joint_is_a_model_error(self):
-        class BadModel(GaussianJointModel):
-            def log_joint_and_grad(self, thetas, data):
-                a, grads = super().log_joint_and_grad(thetas, data)
-                return np.full_like(a, math.nan), grads
-
-        q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
-        noise = sabrng.noise_block(0, 0, 0, 4, 1)
-        with pytest.raises(ValueError, match="non-finite"):
-            mc_objective_with_grad(DivergenceParams(1.2, 0.4), q, BadModel(0, 1), None, noise)
+            mc_objective_with_grad(DivergenceParams(alpha, beta),
+                                   sample_rows(q, GaussianJointModel(0, 1), None, noise))
 
     @pytest.mark.parametrize("estimator", [
-        lambda *args, **kw: mc_objective_with_grad(DivergenceParams(1.2, 0.4), *args, **kw),
+        lambda rows: mc_objective_with_grad(DivergenceParams(1.2, 0.4), rows),
         kl_elbo_with_grad], ids=["mc", "kl"])
-    def test_evaluated_rows_give_the_model_call_result_and_pass_nan(self, estimator):
+    def test_non_finite_log_joint_gives_a_non_finite_value(self, estimator):
         model = GaussianJointModel(0.3, 0.8, dim=2)
         q = MeanFieldGaussian(np.array([0.1, -0.2]), np.array([-0.3, 0.2]))
-        noise = sabrng.noise_block(4, 0, 0, 6, 2)
-        a, G = model.log_joint_and_grad(sample_reparam(q, noise), None)
-        own = estimator(q, model, None, noise)
-        handed = estimator(q, model, None, noise, rows=(a, G))
-        assert all(np.array_equal(x, y) for x, y in zip(own, handed))
-        a[2] = math.nan  # the caller's rows pass through unchecked
+        rows = sample_rows(q, model, None, sabrng.noise_block(4, 0, 0, 6, 2))
+        a = rows.a.copy()
+        a[2] = math.nan
         with np.errstate(invalid="ignore"):
-            assert math.isnan(estimator(q, model, None, noise, rows=(a, G))[0])
+            assert math.isnan(estimator(rows._replace(a=a))[0])
 
     def test_mc_mean_approaches_quadrature(self):
         model = GaussianJointModel(0.6, 1.2)
         q = MeanFieldGaussian(np.array([0.2]), np.array([math.log(0.9)]))
         params = DivergenceParams(1.3, 0.4)
-        values = np.array([mc_objective_with_grad(params, q, model, None,
-                                                  sabrng.noise_block(9, 1, r, 20_000, 1))[0]
+        values = np.array([mc_objective_with_grad(params, sample_rows(
+                               q, model, None, sabrng.noise_block(9, 1, r, 20_000, 1)))[0]
                            for r in range(20)])
         qg = GridDensity.gaussian(0.2, 0.9, -12.0, 12.6, 8001)
         pg = GridDensity.gaussian(0.6, 1.2, -12.0, 12.6, 8001)
@@ -174,7 +195,7 @@ class TestMCGradient:
         q_star = MeanFieldGaussian(np.array([m]), np.array([math.log(s)]))
         params = DivergenceParams.from_lambda(1.8, 0.8)
         noise = sabrng.noise_block(21, 7, 0, 10_000, 1)
-        _, d_mu, d_ls = mc_objective_with_grad(params, q_star, model, data, noise)
+        _, d_mu, d_ls = mc_objective_with_grad(params, sample_rows(q_star, model, data, noise))
         assert math.hypot(d_mu[0], d_ls[0]) < 0.05
 
 
@@ -188,8 +209,9 @@ class TestSampleSizeOrdering:
         v50, v5 = [], []
         for r in range(400):
             block = sabrng.noise_block(17, 6, r, 50, 1)
-            v50.append(mc_objective_with_grad(params, q_off, model, data, block)[0])
-            v5.append(mc_objective_with_grad(params, q_off, model, data, block[:5])[0])
+            v50.append(mc_objective_with_grad(params, sample_rows(q_off, model, data, block))[0])
+            v5.append(mc_objective_with_grad(params,
+                                             sample_rows(q_off, model, data, block[:5]))[0])
         v50, v5 = np.array(v50), np.array(v5)
         se = math.sqrt(v50.var(ddof=1) / v50.size + v5.var(ddof=1) / v5.size)
         assert v50.mean() >= v5.mean() - 2 * se
@@ -201,17 +223,19 @@ class TestKLPath:
         data = XYData(np.zeros((0, 2)), np.zeros(0))
         q = MeanFieldGaussian(np.zeros(2), np.zeros(2))  # the prior itself
         noise = sabrng.noise_block(8, 0, 0, 64, 2)
-        assert kl_elbo_with_grad(q, model, data, noise)[0] == pytest.approx(0.0, abs=1e-12)
+        assert kl_elbo_with_grad(sample_rows(q, model, data, noise))[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         model, data, _, _ = conjugate_problem()
         q = MeanFieldGaussian(np.array([0.3]), np.array([-1.0]))
         noise = sabrng.noise_block(14, 0, 0, 16, 1)
-        _, d_mu, d_ls = kl_elbo_with_grad(q, model, data, noise)
+        _, d_mu, d_ls = kl_elbo_with_grad(sample_rows(q, model, data, noise))
         h = 1e-5
 
         def value(mu, log_sigma):
-            return kl_elbo_with_grad(MeanFieldGaussian(mu, log_sigma), model, data, noise)[0]
+            return kl_elbo_with_grad(
+                sample_rows(MeanFieldGaussian(mu, log_sigma), model, data, noise))[0]
 
         fd_mu = (value(q.mu + h, q.log_sigma) - value(q.mu - h, q.log_sigma)) / (2 * h)
         fd_ls = (value(q.mu, q.log_sigma + h) - value(q.mu, q.log_sigma - h)) / (2 * h)
@@ -277,8 +301,10 @@ class TestAdam:
                 np.testing.assert_array_equal(got, want)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdamConfig(learning_rate=0.0)
+        for field in ("learning_rate", "epsilon"):
+            for value in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+                    AdamConfig(**{field: value})
         with pytest.raises(ValueError):
             AdamConfig(beta1=1.0)
         with pytest.raises(ValueError, match="steps"):
@@ -482,9 +508,9 @@ class TestTrainBatch:
                         MCConfig(1, 0), AdamConfig(steps=2), [1, 2])
         sab.assert_not_called()
         kl.assert_not_called()
-        value, d_mu, d_ls = mc_objective_with_grad(
-            CELL_POOL[1], MeanFieldGaussian.initial(model.dim), model, data,
-            sabrng.noise_block(0, 0, 0, 1, model.dim))
+        value, d_mu, d_ls = mc_objective_with_grad(CELL_POOL[1], sample_rows(
+            MeanFieldGaussian.initial(model.dim), model, data,
+            sabrng.noise_block(0, 0, 0, 1, model.dim)))
         assert abs(value) < 1e-9 and not d_mu.any() and not d_ls.any()
 
 
