@@ -25,8 +25,7 @@ import numpy as np
 
 from . import gradcheck, vi
 from .density_fit import FitObjective, Gaussian1D, fit_gaussian
-from .density_spec import (SpecError, parse_density_spec, read_json_file, shared_grid, tabulate,
-                           tabulate_pair)
+from .density_spec import SpecError, parse_density_spec, read_json_file, tabulate
 from .divergence import DivergenceParams, DomainError, EvaluationError, classify_region, eval_sab
 from .experiments import (
     CSVFormatError,
@@ -86,11 +85,17 @@ def _resolve_params(config) -> DivergenceParams:
 # ---------------------------------------------------------------------------
 
 
+def _density_spec(config: dict, key: str):
+    """The density spec of --key; a bad spec or @FILE is a SpecError naming the flag."""
+    try:
+        return parse_density_spec(config[key])
+    except (SpecError, OSError) as exc:
+        raise SpecError(f"--{key}: {exc}") from exc
+
+
 def cmd_divergence(config: dict, outdir: Path) -> int:
     params = _resolve_params(config)
-    spec_p = parse_density_spec(config["p"])
-    spec_q = parse_density_spec(config["q"])
-    p, q = tabulate_pair(spec_p, spec_q, n=config["grid_points"])
+    p, q = tabulate([_density_spec(config, key) for key in ("p", "q")], config["grid_points"])
     value = eval_sab(params, p, q)
     result = {"value": value, "region": classify_region(params).value,
               "alpha": params.alpha, "beta": params.beta, "lambda": params.lam}
@@ -125,8 +130,7 @@ def cmd_fit_density(config: dict, outdir: Path) -> int:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    spec = parse_density_spec(config["target"])
-    target = tabulate(spec, *shared_grid([spec], config["grid_points"]))
+    (target,) = tabulate([_density_spec(config, "target")], config["grid_points"])
 
     init = None
     if config.get("init_mu") is not None:
@@ -424,6 +428,7 @@ _MIN_COUNTS = {
 _FRACTIONS = {"toy": "outliers", "uci": "corrupt"}  # each must lie in [0, 1)
 _SEEDS = {"toy": "seed_base", "uci": "seed", "gradcheck": "seed"}
 _MAX_SEED = 2**64 - 1  # seeds key 64-bit Philox streams
+_SPEC_FLAGS = {"divergence": ("p", "q"), "fit-density": ("target",)}
 
 
 def _validate(config: dict) -> None:
@@ -460,6 +465,8 @@ def _validate(config: dict) -> None:
             raise ConfigError("--init-log-sigma needs --init-mu")
     if cmd == "divergence" and (not config.get("p") or not config.get("q")):
         raise ConfigError("divergence needs --p and --q density specs")
+    for key in _SPEC_FLAGS.get(cmd, ()):
+        _density_spec(config, key)
     if cmd == "uci" and not config.get("csv"):
         raise ConfigError("uci needs --csv")
     if cmd == "uci" and min(config["hidden"]) < 1:
@@ -477,7 +484,7 @@ def main(argv=None) -> int:
         _dump_json(outdir / "config.json", config)
         return COMMANDS[config["command"]](config, outdir)
     except (ConfigError, SpecError, CSVFormatError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            NotADirectoryError, FileExistsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, DomainError, TrainingDiverged, np.linalg.LinAlgError) as exc:

@@ -9,7 +9,7 @@ A density is a JSON object:
 
 A grid spec's ``"n"`` is optional: ``log_values`` fixes the point count,
 and an ``"n"`` that disagrees with it is an error.  Every number must be
-finite.
+a finite JSON number: a bool or a string is not one.
 
 On the command line a spec can also be the shorthand ``gaussian:MU,SIGMA``,
 the word ``mixture:default`` for the stock two-component skew target, a
@@ -18,6 +18,7 @@ path prefixed with ``@``, or an inline JSON object.
 A spec parses to a `SkewMixtureTarget`, a `GaussianSpec` (both have
 ``grid_range(span)`` and ``log_pdf(x)``, so they go on any grid) or a
 `GridDensity`, validated here once, which carries its own grid.
+`tabulate` puts specs on one shared grid.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ def parse_density_spec(text):
         if text.startswith("@"):
             obj = read_json_file(text[1:])
         elif text.startswith("{"):
-            obj = json.loads(text)
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise SpecError(f"not valid JSON ({exc})") from None
         else:
             raise SpecError(f"unrecognized density spec {text!r}")
     else:
@@ -90,46 +94,46 @@ def parse_density_spec(text):
     kind = obj["kind"]
     try:
         if kind == "gaussian":
-            return GaussianSpec(obj["mean"], obj["stddev"])
+            return GaussianSpec(*_numbers(obj, "mean", "stddev"))
         if kind == "mixture":
             return SkewMixtureTarget(tuple(
-                SkewComponent(c["weight"], c["location"], c["scale"], c["shape"])
+                SkewComponent(*_numbers(c, "weight", "location", "scale", "shape"))
                 for c in obj["components"]))
         if kind == "grid":
-            log_values = np.asarray(obj["log_values"], dtype=float)
-            if "n" in obj and obj["n"] != log_values.size:
+            if not isinstance(values := obj["log_values"], list):
+                raise SpecError(f"log_values must be a list, got {json.dumps(values)}")
+            log_values = np.array([_number(v, "log_values entry") for v in values])
+            if "n" in obj and _number(obj["n"], "n") != log_values.size:
                 raise SpecError(f"n = {obj['n']!r} does not match the "
                                 f"{log_values.size} log_values")
-            return GridDensity(float(obj["lo"]), float(obj["hi"]), log_values)
-    except (KeyError, TypeError, ValueError) as exc:
+            return GridDensity(*_numbers(obj, "lo", "hi"), log_values)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"bad {kind!r} density spec: {exc}") from exc
     raise SpecError(f"unknown density kind {kind!r}")
 
 
-def shared_grid(specs, n: int = DEFAULT_GRID_POINTS,
-                span: float = DEFAULT_GRID_SPAN) -> tuple[float, float, int]:
-    """(lo, hi, n) of one grid for all the specs: the first grid density's
-    own grid, else n points over the union of the specs' ranges."""
-    for spec in specs:
-        if isinstance(spec, GridDensity):
-            return spec.lo, spec.hi, spec.n
-    ranges = [spec.grid_range(span) for spec in specs]
-    return min(lo for lo, _ in ranges), max(hi for _, hi in ranges), n
+def _number(value, name: str) -> float:
+    """A JSON number (an int or a float, never a bool) as a float; anything
+    else is a SpecError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
 
 
-def tabulate(spec, lo: float, hi: float, n: int) -> GridDensity:
-    """The spec on the grid of n points over [lo, hi]; a grid density must
-    already be on it."""
-    if not isinstance(spec, GridDensity):
-        return GridDensity.from_callable(spec.log_pdf, lo, hi, n)
-    if (lo, hi, n) != (spec.lo, spec.hi, spec.n):
+def _numbers(obj: dict, *keys: str) -> list[float]:
+    return [_number(obj[key], key) for key in keys]
+
+
+def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
+             span: float = DEFAULT_GRID_SPAN) -> list[GridDensity]:
+    """The specs on one shared grid, one GridDensity per spec: the first
+    grid density's own grid, else n points over the union of the specs'
+    ``grid_range(span)``.  Every grid density must already be on it."""
+    grids = [(spec.lo, spec.hi, spec.n) for spec in specs if isinstance(spec, GridDensity)]
+    ranges = [spec.grid_range(span) for spec in specs if not isinstance(spec, GridDensity)]
+    lo, hi, n = grids[0] if grids else (min(r[0] for r in ranges), max(r[1] for r in ranges), n)
+    if any(grid != (lo, hi, n) for grid in grids):
         raise SpecError("grid-kind densities carry their own grid; "
                         "pair them only with densities that can be retabulated")
-    return spec
-
-
-def tabulate_pair(spec_p, spec_q, n: int = DEFAULT_GRID_POINTS,
-                  span: float = DEFAULT_GRID_SPAN) -> tuple[GridDensity, GridDensity]:
-    """Put two density specs on one shared grid (two grid specs must agree)."""
-    grid = shared_grid((spec_p, spec_q), n, span)
-    return tabulate(spec_p, *grid), tabulate(spec_q, *grid)
+    return [spec if isinstance(spec, GridDensity)
+            else GridDensity.from_callable(spec.log_pdf, lo, hi, n) for spec in specs]

@@ -16,28 +16,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9      # decay of the first moment
+BETA2 = 0.999    # decay of the second moment
+EPSILON = 1e-8   # added to the root of the second moment
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     steps: int = 1000
 
     def __post_init__(self):
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
 
     def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "beta1": self.beta1,
-                "beta2": self.beta2, "epsilon": self.epsilon, "steps": self.steps}
+        return {"learning_rate": self.learning_rate, "beta1": BETA1, "beta2": BETA2,
+                "epsilon": EPSILON, "steps": self.steps}
 
 
 @dataclass(eq=False)
@@ -68,7 +65,6 @@ def adam_step(state: AdamState, grads: np.ndarray, config: AdamConfig,
     g = np.array(grads, dtype=float, ndmin=2, copy=None)
     if g.shape != state.params.shape:
         raise ValueError("gradient shape does not match parameters")
-    b1, b2 = config.beta1, config.beta2
     if rows is None:
         rows = range(len(state.t))
         params, m, v = state.params, state.m, state.v  # updated in place
@@ -77,18 +73,18 @@ def adam_step(state: AdamState, grads: np.ndarray, config: AdamConfig,
     c1, c2 = [], []  # bias corrections per stepping row
     for r in rows:
         t = state.t[r] = state.t[r] + 1
-        c1.append(1.0 - b1 ** t)
-        c2.append(1.0 - b2 ** t)
+        c1.append(1.0 - BETA1 ** t)
+        c2.append(1.0 - BETA2 ** t)
     if len(c1) == 1:  # a lone row divides by scalars: the same roundings, less overhead
         c1, c2 = c1[0], c2[0]
     else:
         c1, c2 = np.array(c1)[:, None], np.array(c2)[:, None]
-    # in place, with the roundings of m = b1 m + (1 - b1) g and its kin
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    params -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.epsilon)
+    # in place, with the roundings of m = BETA1 m + (1 - BETA1) g and its kin
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    params -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
     if params is not state.params:
         state.params[rows], state.m[rows], state.v[rows] = params, m, v
     return state

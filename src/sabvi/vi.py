@@ -40,7 +40,9 @@ and data as one batch: per step, one `_evaluate` of all C x K sample rows,
 one estimator call per cell on its K rows, one ADAM update over the
 stacked rows.  A model row's log joint does not depend on the other rows
 of its batch, so each cell's outcome is bit for bit that of training it
-alone; `train` is the one-cell batch.
+alone; `train` is the one-cell batch.  One C x steps mask records the
+steps taken (a non-finite step is skipped), and each cell's report, or the
+TrainingDiverged carrying it, is built once from it after the last step.
 
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
@@ -220,14 +222,19 @@ class TrainReport:
     beta: float
     final: MeanFieldGaussian
     trace: np.ndarray = field(repr=False)
-    seed: int
     stream: int
     mc_config: MCConfig
     adam_config: AdamConfig
-    init_mu: np.ndarray = field(repr=False)
-    init_log_sigma: np.ndarray = field(repr=False)
-    used_kl_path: bool
+    init: MeanFieldGaussian  # q0, shared by every cell of a batch
     skipped_steps: int  # non-finite steps whose update was skipped
+
+    @property
+    def seed(self) -> int:
+        return self.mc_config.seed
+
+    @property
+    def used_kl_path(self) -> bool:
+        return (self.alpha, self.beta) == KL_CORNER
 
     def to_dict(self) -> dict:
         return {
@@ -240,8 +247,8 @@ class TrainReport:
             "skipped_steps": self.skipped_steps,
             "mc": self.mc_config.to_dict(),
             "adam": self.adam_config.to_dict(),
-            "init_mu": self.init_mu.tolist(),
-            "init_log_sigma": self.init_log_sigma.tolist(),
+            "init_mu": self.init.mu.tolist(),
+            "init_log_sigma": self.init.log_sigma.tolist(),
             "final_mu": self.final.mu.tolist(),
             "final_log_sigma": self.final.log_sigma.tolist(),
             "trace": np.asarray(self.trace).tolist(),
@@ -281,20 +288,20 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
                 streams: list[int]) -> list[TrainReport | TrainingDiverged]:
     """Train C cells that share q0, model, data and configuration as one batch.
 
-    Cell c draws its noise from its own (mc.seed, streams[c]) stream and
-    keeps its own trace, skipped-step count and divergence outcome, as
-    `train` would give it alone.  Each step evaluates the sample rows of
-    all live cells in one model call (at most _BATCH_ROWS rows per call,
-    one cell per call if K is larger), runs one estimator call per live
-    cell on its rows, and takes one ADAM update over the cells whose step
-    was finite.  The outcomes equal C separate trainings bit for bit when
-    a row's log joint does not depend on the other rows of its batch, as
-    for both of the package's models; a one-cell batch is exactly `train`.
-
-    Returns one outcome per cell, in order: its TrainReport, or the
-    TrainingDiverged (partial report attached) that `train` would raise.
-    A cell that is not `trainable` at mc.n_samples raises DomainError
-    before any step.
+    Cell c draws its noise from its own (mc.seed, streams[c]) stream.  Each
+    step evaluates the sample rows of all live cells in one model call (at
+    most _BATCH_ROWS rows per call, one cell per call if K is larger), runs
+    one estimator call per live cell on its rows, and takes one ADAM update
+    over the cells whose value and gradient were finite; the C x steps mask
+    `took` records it.  A cell whose last _MAX_BAD_STEPS steps were all
+    untaken gives up and leaves the batch, keeping its q at divergence.
+    After the last step each cell's outcome is built once from its first
+    `ran` steps: its TrainReport, or the TrainingDiverged (report attached)
+    that `train` would raise if it gave up or took none of at least one
+    step.  The outcomes equal C separate trainings bit for bit when a row's
+    log joint does not depend on the other rows of its batch, as for both
+    models.  A cell that is not `trainable` at mc.n_samples raises
+    DomainError before any step.
     """
     if len(cells) != len(streams):
         raise ValueError("need one stream per cell")
@@ -313,10 +320,9 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     state = AdamState.init(np.tile(np.concatenate([q0.mu, q0.log_sigma]), (n_cells, 1)))
     grads = np.zeros_like(state.params)
     traces = np.empty((n_cells, opt.steps))
+    took = np.zeros((n_cells, opt.steps), dtype=bool)  # took[c, t]: step t updated cell c
+    gave_up: list[int | None] = [None] * n_cells  # the steps a cell ran before giving up
     noise_streams = [rng.NoiseStream(mc.seed, stream) for stream in streams]
-    bad_streak = [0] * n_cells
-    skipped = [0] * n_cells
-    outcomes: list = [None] * n_cells
     live = list(range(n_cells))
     per_call = max(1, _BATCH_ROWS // k)
     for step in range(opt.steps):
@@ -336,45 +342,31 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
                     traces[c, step] = value
                     grads[c, :d] = d_mu
                     grads[c, d:] = d_ls
-        finite = np.isfinite(grads).all(axis=1)
+        took[live, step] = np.isfinite(traces[live, step]) & np.isfinite(grads[live]).all(1)
         stepped = []
         for c in live:
-            if finite[c] and math.isfinite(traces[c, step]):
-                bad_streak[c] = 0
+            if took[c, step]:
                 stepped.append(c)
-                continue
-            bad_streak[c] += 1  # skip the update, keep counting
-            skipped[c] += 1
-            if bad_streak[c] >= _MAX_BAD_STEPS:
-                params = cells[c]
-                outcomes[c] = TrainingDiverged(
-                    f"objective non-finite for {bad_streak[c]} consecutive steps "
-                    f"at (alpha={params.alpha}, beta={params.beta})",
-                    _report(params, _q_of(state.params[c], d), traces[c, :step + 1], mc,
-                            opt, q0, streams[c], kl_paths[c], skipped[c]))
+            elif step + 1 >= _MAX_BAD_STEPS and not took[c, step - _MAX_BAD_STEPS + 1:step].any():
+                gave_up[c] = step + 1
         if len(stepped) < len(live):
-            live = [c for c in live if outcomes[c] is None]
+            live = [c for c in live if gave_up[c] is None]
         if stepped:
             adam_step(state, grads, opt, None if len(stepped) == n_cells else stepped)
 
-    for c in live:
-        params = cells[c]
-        report = _report(params, _q_of(state.params[c], d), traces[c], mc, opt, q0,
-                         streams[c], kl_paths[c], skipped[c])
-        outcomes[c] = report if not opt.steps or skipped[c] < opt.steps else TrainingDiverged(
-            f"objective non-finite at all {opt.steps} steps "
-            f"at (alpha={params.alpha}, beta={params.beta})", report)
+    outcomes: list[TrainReport | TrainingDiverged] = []
+    for c, params in enumerate(cells):
+        ran = opt.steps if gave_up[c] is None else gave_up[c]
+        report = TrainReport(alpha=params.alpha, beta=params.beta,
+                             final=MeanFieldGaussian(state.params[c, :d], state.params[c, d:]),
+                             trace=traces[c, :ran].copy(), stream=streams[c], mc_config=mc,
+                             adam_config=opt, init=q0,
+                             skipped_steps=ran - int(took[c, :ran].sum()))
+        why = None
+        if gave_up[c] is not None:
+            why = f"for {_MAX_BAD_STEPS} consecutive steps"
+        elif opt.steps and not took[c].any():
+            why = f"at all {opt.steps} steps"
+        outcomes.append(report if why is None else TrainingDiverged(
+            f"objective non-finite {why} at (alpha={params.alpha}, beta={params.beta})", report))
     return outcomes
-
-
-def _q_of(row: np.ndarray, d: int) -> MeanFieldGaussian:
-    """A report's own copy of the q in one stacked (mu, log sigma) row."""
-    return MeanFieldGaussian(row[:d].copy(), row[d:].copy())
-
-
-def _report(params, final, trace, mc, opt, q0, stream, kl_path, skipped) -> TrainReport:
-    return TrainReport(alpha=params.alpha, beta=params.beta, final=final,
-                       trace=np.array(trace, dtype=float), seed=mc.seed,
-                       stream=stream, mc_config=mc, adam_config=opt,
-                       init_mu=q0.mu.copy(), init_log_sigma=q0.log_sigma.copy(),
-                       used_kl_path=kl_path, skipped_steps=skipped)

@@ -74,7 +74,9 @@ class TestDivergenceCommand:
          '"scale": 1.0, "shape": 0.0}]}', "component location must be finite"),
         ('{"kind": "grid", "lo": -1.0, "hi": 1.0, "n": 5, "log_values": [0.0, 0.0, 0.0]}',
          "n = 5 does not match the 3 log_values"),
-    ], ids=["nan_stddev", "nan_mean", "inf_stddev", "nan_location", "grid_n"])
+        ('{"kind": "gaussian", "mean": true, "stddev": 1}', "--p: bad 'gaussian' density "
+         "spec: mean must be a JSON number, got true"),
+    ], ids=["nan_stddev", "nan_mean", "inf_stddev", "nan_location", "grid_n", "bool_mean"])
     def test_bad_density_spec_is_config_error(self, tmp_path, capsys, spec, message):
         out = tmp_path / "x"
         assert run_cli("divergence", "--alpha", 1.2, "--beta", 0.5, "--p", spec,
@@ -506,6 +508,33 @@ class TestArgumentErrors:
         }[flag]
         assert run_cli(*args) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["inline", "file"])
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--target"])
+    def test_malformed_density_spec_exits_2_naming_its_flag(self, tmp_path, capsys, flag,
+                                                            fault):
+        path, out = tmp_path / "spec.json", tmp_path / "run"
+        path.write_text('{"kind": "gaussian",\n')
+        spec = '{"kind": "gaussian",' if fault == "inline" else f"@{path}"
+        args = {"--p": ["divergence", "--alpha", 1, "--beta", 0.5, "--p", spec,
+                        "--q", "gaussian:0,1"],
+                "--q": ["divergence", "--alpha", 1, "--beta", 0.5, "--p", "gaussian:0,1",
+                        "--q", spec],
+                "--target": ["fit-density", "--divergence", "kl", "--target", spec]}[flag]
+        assert run_cli(*args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: " in err and "not valid JSON" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--p", "--target"])
+    def test_missing_spec_file_names_its_flag(self, tmp_path, capsys, flag):
+        path, out = tmp_path / "absent.json", tmp_path / "run"
+        args = (["divergence", "--alpha", 1, "--beta", 0.5, "--p", f"@{path}",
+                 "--q", "gaussian:0,1"] if flag == "--p"
+                else ["fit-density", "--divergence", "kl", "--target", f"@{path}"])
+        assert run_cli(*args, "--out", out) == 2
+        assert f"config error: {flag}: " in capsys.readouterr().err
+        assert not out.exists()
 
     # (value of most rows, value of row 7) of feature 'b', or None for a
     # constant target.  Only row 7 sets 'b' apart in the rare cases, so the

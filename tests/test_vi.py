@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sabvi import optim
 from sabvi import rng as sabrng
 from sabvi import vi
 from sabvi.divergence import DivergenceParams, DomainError, GridDensity, eval_sab
@@ -276,11 +277,11 @@ class TestAdam:
         """Textbook ADAM on one vector: (params, m, v, t) -> the next tuple."""
         params, m, v, t = row
         t += 1
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon), m, v, t
+        m = optim.BETA1 * m + (1.0 - optim.BETA1) * g
+        v = optim.BETA2 * v + (1.0 - optim.BETA2) * g * g
+        m_hat = m / (1.0 - optim.BETA1 ** t)
+        v_hat = v / (1.0 - optim.BETA2 ** t)
+        return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + optim.EPSILON), m, v, t
 
     def test_stacked_rows_equal_row_by_row_scalar_adam_bit_for_bit(self):
         # rows that skip a step keep parameters, moments and step count
@@ -301,19 +302,34 @@ class TestAdam:
                 np.testing.assert_array_equal(got, want)
 
     def test_config_validation(self):
-        for field in ("learning_rate", "epsilon"):
-            for value in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-                    AdamConfig(**{field: value})
-        with pytest.raises(ValueError):
-            AdamConfig(beta1=1.0)
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+                AdamConfig(learning_rate=value)
         with pytest.raises(ValueError, match="steps"):
             AdamConfig(steps=-1)
+
+    def test_config_writes_the_constants(self):
+        assert AdamConfig(learning_rate=0.02, steps=7).to_dict() == {
+            "learning_rate": 0.02, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "steps": 7}
 
 
 class BrokenModel(GaussianJointModel):
     def log_joint_and_grad(self, thetas, data):
         return np.full(len(thetas), math.nan), np.full((len(thetas), 1), math.nan)
+
+
+class FiniteAtCalls(GaussianJointModel):
+    """A Gaussian joint whose log density is NaN except at the given
+    (1-based) calls: one call per step for a one-cell training."""
+
+    def __init__(self, *finite_calls):
+        super().__init__(0, 1)
+        self.finite_calls, self.calls = finite_calls, 0
+
+    def log_joint_and_grad(self, thetas, data):
+        self.calls += 1
+        a, grads = super().log_joint_and_grad(thetas, data)
+        return (a if self.calls in self.finite_calls else np.full_like(a, math.nan)), grads
 
 
 class TestTrain:
@@ -365,17 +381,27 @@ class TestTrain:
         assert report.trace.size == 5 and np.all(np.isnan(report.trace))
         assert report.skipped_steps == 5
 
+    @pytest.mark.parametrize("alpha,beta", [(1.2, 0.4), (1.0, 0.0)])
+    def test_ten_non_finite_steps_of_ten_are_a_streak(self, alpha, beta):
+        # the streak ends on the last step: the streak message, not "all 10 steps"
+        with pytest.raises(TrainingDiverged, match="for 10 consecutive steps") as excinfo:
+            train(DivergenceParams(alpha, beta), MeanFieldGaussian.initial(1),
+                  BrokenModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=10))
+        report = excinfo.value.report
+        assert report.trace.size == 10 and np.all(np.isnan(report.trace))
+        assert report.skipped_steps == 10
+
+    def test_streak_after_one_finite_step_diverges_on_the_last_step(self):
+        with pytest.raises(TrainingDiverged, match="for 10 consecutive steps") as excinfo:
+            train(DivergenceParams(1.2, 0.4), MeanFieldGaussian.initial(1),
+                  FiniteAtCalls(1), None, MCConfig(4, 0), AdamConfig(steps=11))
+        report = excinfo.value.report
+        assert np.isfinite(report.trace).tolist() == [True] + [False] * 10
+        assert report.skipped_steps == 10 and report.final.mu[0] != 0.0
+
     def test_one_finite_step_is_enough_to_finish(self):
-        class FlakyModel(GaussianJointModel):
-            calls = 0
-
-            def log_joint_and_grad(self, thetas, data):
-                self.calls += 1
-                a, grads = super().log_joint_and_grad(thetas, data)
-                return (a if self.calls == 3 else np.full_like(a, math.nan)), grads
-
         report = train(DivergenceParams(1.2, 0.4), MeanFieldGaussian.initial(1),
-                       FlakyModel(0, 1), None, MCConfig(4, 0), AdamConfig(steps=5))
+                       FiniteAtCalls(3), None, MCConfig(4, 0), AdamConfig(steps=5))
         assert np.isfinite(report.trace).sum() == 1
         assert report.final.mu[0] != 0.0
         assert report.skipped_steps == 4 and report.to_dict()["skipped_steps"] == 4
@@ -388,6 +414,19 @@ class TestTrain:
         assert d["used_kl_path"] and len(d["trace"]) == 5
         assert d["skipped_steps"] == 0
         assert d["init_log_sigma"] == [math.log(0.1)]
+        assert list(d) == ["alpha", "beta", "lambda", "seed", "stream", "used_kl_path",
+                           "skipped_steps", "mc", "adam", "init_mu", "init_log_sigma",
+                           "final_mu", "final_log_sigma", "trace"]
+
+    def test_report_keeps_its_q0(self):
+        model, data = _regression_problem()
+        q0 = MeanFieldGaussian(np.linspace(-0.2, 0.2, model.dim), np.full(model.dim, -2.0))
+        outcomes = train_batch(CELL_POOL[:2], q0, model, data, MCConfig(3, 4),
+                               AdamConfig(steps=3), [1, 2])
+        for report in outcomes:
+            assert report.init is q0 and report.seed == 4
+            assert report.to_dict()["init_mu"] == q0.mu.tolist()
+        assert [r.used_kl_path for r in outcomes] == [True, False]
 
 
 class PoisonedRows:
@@ -449,10 +488,11 @@ class TestTrainBatch:
         alone = _per_cell_outcomes(cells, model, data, mc, opt, streams)
         assert [_outcome_json(o) for o in batch] == [_outcome_json(o) for o in alone]
         diverged, skipping, clean = batch
-        assert isinstance(diverged, TrainingDiverged)
-        assert diverged.report.trace.size < 40 and diverged.report.skipped_steps >= 10
-        assert skipping.skipped_steps > 0 and skipping.trace.size == 40
-        assert clean.skipped_steps == 0
+        assert str(diverged) == ("objective non-finite for 10 consecutive steps "
+                                 "at (alpha=1.0, beta=0.0)")
+        assert (diverged.report.trace.size, diverged.report.skipped_steps) == (31, 21)
+        assert (skipping.trace.size, skipping.skipped_steps) == (40, 20)
+        assert (clean.trace.size, clean.skipped_steps) == (40, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.sampled_from(CELL_POOL), min_size=1, max_size=4),
