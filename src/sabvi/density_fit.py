@@ -45,6 +45,7 @@ from .divergence import (
     eval_sab,
     finite_sab_value,
     gaussian_log_pdf,
+    power_lse_rows,
     sab_value,
     _power_lse,
 )
@@ -59,6 +60,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(mu: float, log_sigma: float):
+    if not (math.isfinite(mu) and math.isfinite(log_sigma)):
+        raise ValueError("mu and log_sigma must be finite")
+
+
 @dataclass(frozen=True)
 class Gaussian1D:
     """The fitted family: a single Gaussian parameterized by (mu, log sigma)."""
@@ -67,8 +73,7 @@ class Gaussian1D:
     log_sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.log_sigma)):
-            raise ValueError("mu and log_sigma must be finite")
+        _require_finite(self.mu, self.log_sigma)
 
     @property
     def sigma(self) -> float:
@@ -235,58 +240,89 @@ def divergence_value(objective: FitObjective, q: Gaussian1D, p: GridDensity) -> 
     return eval_sab(DivergenceParams(objective.alpha, objective.beta), qd, p)
 
 
-def _dlogq_dphi(q: Gaussian1D, x: np.ndarray) -> np.ndarray:
-    """Rows: d log q / d mu and d log q / d log sigma on the grid."""
-    s2 = q.sigma ** 2
-    z2 = (x - q.mu) ** 2 / s2
-    return np.stack(((x - q.mu) / s2, z2 - 1.0))
+def _dlogq_sum(m: np.ndarray, mass: float, sigma: float) -> np.ndarray:
+    """The grid sum of weights times d log q / d (mu, log sigma), which is
+    (z / sigma, z^2 - 1), from the weights' sums m against (z, z^2) and
+    their total mass."""
+    return np.array([m[0] / sigma, m[1] - mass])
+
+
+def _union(m1: np.ndarray | None, m2: np.ndarray | None) -> np.ndarray | None:
+    """The union of two node masks, where None marks no nodes."""
+    if m1 is None or m2 is None:
+        return m2 if m1 is None else m1
+    return m1 | m2
 
 
 class FitEvaluator:
     """Fused value and gradient of one objective against one fixed target.
 
-    Built once per fit: keeps the grid, the target's log values, the
-    quadrature log weights and, for the sAB branch, the target-only power
-    term log I(p^(a+b)).  Gamma fits take that branch at (1, b) on the
+    Built once per fit: keeps the grid, the target's log values and the
+    quadrature weights and, for the Renyi and sAB branches, the rows that
+    q's powers are added to (log weights plus the target's power: b lp
+    in the cross term, (1 - a) lp for Renyi), the target's floored nodes
+    where that power is negative, and the target-only sAB power term
+    log I(p^(a+b)).  Gamma fits take the sAB branch at (1, b) on the
     normalized measure; the sAB value does not depend on the measure's
-    scale.  Each call tabulates q once, floored as `GridDensity` floors
-    it, and exponentiates each q-dependent power term once; the term's log
-    integral goes into the value and its softmax weights into the
-    gradient.  Values and floored-tail checks are those of the `eval_*`
-    functions behind `divergence_value`.
+    scale.  Each call computes z = (x - mu) / sigma once, derives log q
+    (floored as `GridDensity` floors it) and d log q / d phi from z and
+    z^2, and reduces the q-dependent power terms with one `lse_rows`
+    call: each term's log integral goes into the value and its softmax
+    weights into the gradient.  Values and floored-tail checks are those
+    of the `eval_*` functions behind `divergence_value`.
     """
 
     def __init__(self, objective: FitObjective, p: GridDensity):
         self.objective = objective
+        kind, a, b = objective.kind, objective.alpha, objective.beta
         self.lp = p.log_values
         self.x = p.x
-        sab = objective.kind not in ("kl", "renyi")
+        sab = kind not in ("kl", "renyi")
         measure = QuadratureMeasure.trapezoid(p, normalized=sab)
         self.w = measure.weights
-        self.log_w = measure.log_weights
-        # q enters the target-only term with exponent 0, so p fills both slots
-        if sab:
-            self.t_target = _power_lse(0.0, objective.alpha + objective.beta, self.lp,
-                                       self.lp, self.log_w, "second-density power term")[0]
+        if kind == "kl":
+            return
+        log_w = measure.log_weights
+        c_p = b if sab else 1.0 - a  # the target's power in the cross term
+        cross = log_w + c_p * self.lp
+        cross_floored = p.floored if c_p < 0 else None
+        if sab:  # rows q^(a+b) and q^a p^b
+            self.q_powers, self.target_rows = (a + b, a), np.stack((log_w, cross))
+            self.terms = ("first-density power term", "cross term")
+            self.target_floored = (None, cross_floored)
+            # q enters the target-only term with exponent 0, so p fills both slots
+            self.t_target = _power_lse(0.0, a + b, self.lp, self.lp, log_w,
+                                       "second-density power term")[0]
+        else:
+            self.q_powers, self.target_rows = (a,), cross[None]
+            self.terms = ("Renyi cross term",)
+            self.target_floored = (cross_floored,)
 
-    def value_and_grad(self, q: Gaussian1D) -> tuple[float, np.ndarray]:
-        """(divergence_value, analytic_gradient) at q, in one pass."""
+    def value_and_grad(self, mu: float, log_sigma: float) -> tuple[float, np.ndarray]:
+        """(divergence_value, analytic_gradient) at (mu, log sigma), in one pass."""
         kind, a, b = self.objective.kind, self.objective.alpha, self.objective.beta
-        lp, log_w = self.lp, self.log_w
-        lq = np.maximum(q.log_pdf(self.x), LOG_FLOOR)
-        g = _dlogq_dphi(q, self.x)
+        sigma = math.exp(log_sigma)
+        z = (self.x - mu) / sigma
+        zs = np.array((z, z * z))
+        lq = np.maximum(-0.5 * zs[1] - (log_sigma + 0.5 * _LOG_2PI), LOG_FLOOR)
 
         if kind == "kl":
             e = np.exp(lq)
-            d = lq - lp
-            return float(np.dot(self.w, e * d)), g @ (self.w * (e * (d + 1.0)))
+            d = lq - self.lp
+            v = self.w * (e * (d + 1.0))
+            return float(np.dot(self.w, e * d)), _dlogq_sum(zs @ v, v.sum(), sigma)
+        e = np.multiply.outer(self.q_powers, lq)
+        e += self.target_rows
+        floored = lq <= LOG_FLOOR if min(self.q_powers) < 0 else None
+        explosive = [_union(floored if c < 0 else None, target)
+                     for c, target in zip(self.q_powers, self.target_floored)]
+        t, s = power_lse_rows(e, self.terms, explosive)
+        m = zs @ s.T  # each softmax row has mass 1
         if kind == "renyi":
-            t, s = _power_lse(a, 1.0 - a, lq, lp, log_w, "Renyi cross term")
-            return t / (a - 1.0), (a / (a - 1.0)) * (g @ s)
-        t_q, s_q = _power_lse(a + b, 0.0, lq, lp, log_w, "first-density power term")
-        t_c, s_c = _power_lse(a, b, lq, lp, log_w, "cross term")
-        value = finite_sab_value(sab_value(a, b, t_q, self.t_target, t_c), Region.GENERIC, a, b)
-        return value, (g @ s_q - g @ s_c) / b
+            return float(t[0]) / (a - 1.0), (a / (a - 1.0)) * _dlogq_sum(m[:, 0], 1.0, sigma)
+        value = sab_value(a, b, float(t[0]), self.t_target, float(t[1]))
+        return (finite_sab_value(value, Region.GENERIC, a, b),
+                _dlogq_sum(m[:, 0] - m[:, 1], 0.0, sigma) / b)
 
 
 def analytic_gradient(objective: FitObjective, q: Gaussian1D,
@@ -295,7 +331,7 @@ def analytic_gradient(objective: FitObjective, q: Gaussian1D,
 
     A view of `FitEvaluator.value_and_grad`, the evaluation fits use.
     """
-    return FitEvaluator(objective, p).value_and_grad(q)[1]
+    return FitEvaluator(objective, p).value_and_grad(q.mu, q.log_sigma)[1]
 
 
 def finite_diff_gradient(objective: FitObjective, q: Gaussian1D, p: GridDensity,
@@ -358,22 +394,21 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     evaluator = FitEvaluator(objective, p)
     state = AdamState.init(np.array([init.mu, init.log_sigma]))
     trace = []
-    q = init
     converged = False
-    iterations = 0
     for _ in range(max_iters):
-        q = Gaussian1D(*state.params[0])
+        mu, log_sigma = state.params[0]
+        _require_finite(mu, log_sigma)
         try:
-            value, grad = evaluator.value_and_grad(q)
+            value, grad = evaluator.value_and_grad(mu, log_sigma)
         except EvaluationError as exc:
             if trace:
-                exc.partial_result = FitResult(q, np.array(trace), False, iterations)
+                exc.partial_result = FitResult(Gaussian1D(mu, log_sigma), np.array(trace),
+                                               False, len(trace))
             raise
         trace.append(value)
-        iterations += 1
-        if np.max(np.abs(grad)) < GRADIENT_TOL:
+        if np.abs(grad).max() < GRADIENT_TOL:
             converged = True
             break
         adam_step(state, grad, opt)
-    return FitResult(final=q, divergence_trace=np.array(trace),
-                     converged=converged, iterations=iterations)
+    return FitResult(final=Gaussian1D(mu, log_sigma), divergence_trace=np.array(trace),
+                     converged=converged, iterations=len(trace))

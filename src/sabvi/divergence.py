@@ -22,12 +22,22 @@ Every log-integral is evaluated with log-sum-exp stabilization.  Negative
 exponents blow up wherever a density was clamped at the log floor; such
 terms raise `EvaluationError` when clamped nodes dominate the stabilized
 sum instead of silently returning floor-driven garbage.
+
+Dead nodes: after the row maximum is subtracted, a node whose exponent is
+below log of the smallest normal double (about -708.40) gets weight
+exactly 0 and is never passed to `exp`.  `exp` would return 0 or a
+subnormal there, both far below the rounding of a sum that the maximum
+node alone makes at least 1, so the log integral is unchanged bit for
+bit; only such subnormal softmax weights become 0.  On the grid, tails
+of narrow or high-power terms are hundreds of nats down, and `exp` is
+many times slower on them than on normal inputs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,15 +231,23 @@ def gaussian_pair(mu1: float, s1: float, mu2: float, s2: float,
 # ---------------------------------------------------------------------------
 
 _FLOOR_DOMINANCE = 0.5  # weight share above which a clamped tail is fatal
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below this, exp is subnormal or 0
 
 
 def lse_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-sum-exp of each row of e and the rows' softmax weights, with one
     max, exp and sum per row, in place (e holds the softmax on return): the
-    reduction behind every power integral, on the grid and in `vi`."""
+    reduction behind every power integral, on the grid and in `vi`.
+
+    Dead nodes, more than -log(tiny) (about 708.40 nats) below their row's
+    maximum, get weight exactly 0 without going through `exp`, which is
+    slow on them; the maximum contributes 1 to each sum, so the log-sum-exp
+    is that of a plain exp.  A NaN stays NaN."""
     m = e.max(axis=-1, keepdims=True)
     e -= m
-    np.exp(e, out=e)
+    dead = e < _LOG_TINY
+    np.exp(e, out=e, where=~dead)
+    e[dead] = 0.0
     total = e.sum(axis=-1, keepdims=True)
     e /= total
     return (m + np.log(total))[..., 0], e
@@ -250,31 +268,45 @@ def finite_sab_value(value: float, region: Region, alpha: float, beta: float) ->
                           f"(alpha={alpha}, beta={beta})")
 
 
+def power_lse_rows(e: np.ndarray, terms: Sequence[str],
+                   explosive: Sequence[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
+    """`lse_rows` of stacked power-term exponent rows, one term name each.
+
+    explosive[i] marks the log-floor nodes that carry a negative exponent
+    in row i (None if it has none).  Raises EvaluationError when every
+    node of a row is at -inf, or when the marked nodes carry most of a
+    row's weight.
+    """
+    for row, term in zip(e, terms):
+        # no mass means -inf at every node: test one node before scanning all
+        if row[0] == -np.inf and row.max() == -np.inf:
+            raise EvaluationError(f"{term}: no mass to integrate (all nodes at the floor)")
+    t, s = lse_rows(e)
+    for row, term, mask in zip(s, terms, explosive):
+        if mask is not None and row[mask].sum() > _FLOOR_DOMINANCE:
+            raise EvaluationError(
+                f"{term}: stabilized sum dominated by log-floor nodes "
+                f"(negative exponent on a clamped tail)")
+    return t, s
+
+
 def _power_lse(c_p: float, c_q: float, lp: np.ndarray, lq: np.ndarray,
                log_w: np.ndarray, term: str) -> tuple[float, np.ndarray]:
     """log I(p^c_p q^c_q) and the normalized weights w p^c_p q^c_q / I.
 
     lp and lq are floored log-value vectors on the grid of log_w; a zero
-    exponent (one at most) skips its density.  Raises EvaluationError when
-    every node is at the floor, or when log-floor nodes under a negative
-    exponent carry most of the weight.
+    exponent (one at most) skips its density.  Raises as `power_lse_rows`.
     """
     expo = log_w
     if c_p != 0.0:
         expo = expo + c_p * lp
     if c_q != 0.0:
         expo = expo + c_q * lq
-    # no mass means -inf at every node: test one node before scanning all
-    if expo[0] == -np.inf and expo.max() == -np.inf:
-        raise EvaluationError(f"{term}: no mass to integrate (all nodes at the floor)")
-    t, s = lse_rows(expo)
+    explosive = None
     if c_p < 0 or c_q < 0:
         explosive = ((c_p < 0) & (lp <= LOG_FLOOR)) | ((c_q < 0) & (lq <= LOG_FLOOR))
-        if s[explosive].sum() > _FLOOR_DOMINANCE:
-            raise EvaluationError(
-                f"{term}: stabilized sum dominated by log-floor nodes "
-                f"(negative exponent on a clamped tail)")
-    return float(t), s
+    t, s = power_lse_rows(expo[None], (term,), (explosive,))
+    return float(t[0]), s[0]
 
 
 def _log_values(p: GridDensity, q: GridDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -375,28 +407,6 @@ def eval_gamma(beta: float, p: GridDensity, q: GridDensity) -> float:
     t_q = _power_lse(0.0, beta + 1.0, lp, lq, log_w, "gamma q-power term")[0]
     t_c = _power_lse(1.0, beta, lp, lq, log_w, "gamma cross term")[0]
     return t_p / (beta * (beta + 1.0)) + t_q / (beta + 1.0) - t_c / beta
-
-
-def eval_hellinger(p: GridDensity, q: GridDensity) -> float:
-    """Squared Hellinger-type distance 1 - integral of sqrt(p q)."""
-    lp, lq = _log_values(p, q)
-    t = _power_lse(0.5, 0.5, lp, lq, _dx_log_weights(p), "Hellinger affinity")[0]
-    return 1.0 - math.exp(t)
-
-
-def eval_chisq(p: GridDensity, q: GridDensity) -> float:
-    """Pearson chi-square divergence: integral of p^2/q, minus one."""
-    lp, lq = _log_values(p, q)
-    t = _power_lse(2.0, -1.0, lp, lq, _dx_log_weights(p), "chi-square term")[0]
-    return math.exp(t) - 1.0
-
-
-def eval_log_euclidean(p: GridDensity, q: GridDensity) -> float:
-    """Half the integral of (log p - log q)^2 over the grid interval."""
-    lp, lq = _log_values(p, q)
-    w = QuadratureMeasure.trapezoid(p, normalized=False).weights
-    d = lp - lq
-    return 0.5 * float(np.dot(w, d * d))
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,12 @@ class BNNModel:
 
 def _positive(name: str, value):
     """A model config number, checked finite and positive."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and value > 0)):
+    try:
+        valid = (not isinstance(value, bool) and isinstance(value, (int, float))
+                 and math.isfinite(value) and value > 0)
+    except OverflowError:  # an integer beyond the float range
+        valid = False
+    if not valid:
         raise ValueError(f"model config field {name!r} must be a finite positive "
                          f"number, got {value!r}")
     return value

@@ -347,11 +347,16 @@ class TestUciCommand:
         ({"kind": "blr", "input_dim": 3.5}, "field 'input_dim' must be an integer of at least 1"),
         ({"kind": "blr", "input_dim": 3, "include_bias": "no"},
          "field 'include_bias' must be true or false, got 'no'"),
+        # integers beyond the float range
+        ({"kind": "blr", "input_dim": 2, "noise_sigma": 10**400},
+         "field 'noise_sigma' must be a finite positive number, got 1000"),
+        ({"kind": "bnn", "layer_sizes": [3, 10**400, 1]},
+         "field 'layer_sizes' must be a finite positive number, got 1000"),
     ], ids=["prior_sigma", "kind", "list", "string", "noise_sigma_string",
             "noise_sigma_negative", "prior_sigma_nan", "layer_sizes_number",
             "layer_sizes_null", "layer_sizes_fraction", "layer_sizes_bool",
             "learn_noise_string", "learn_noise_int", "input_dim_fraction",
-            "include_bias_string"])
+            "include_bias_string", "noise_sigma_huge_int", "layer_sizes_huge_int"])
     def test_bad_model_config_is_config_error(self, tmp_path, csv_path, capsys, config,
                                               message):
         model_cfg = tmp_path / "model.json"
