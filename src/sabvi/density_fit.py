@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .divergence import (
     DEFAULT_GRID_POINTS,
@@ -53,6 +52,7 @@ from .optim import AdamConfig, AdamState, adam_step
 
 GRADIENT_TOL = 1e-6  # sup-norm convergence threshold for fit_gaussian
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +86,52 @@ class Gaussian1D:
         return GridDensity(grid.lo, grid.hi, self.log_pdf(grid.x))
 
 
+# Chebyshev coefficients of erfc on [0, inf) in t = 2 / (2 + z): Press et al.,
+# Numerical Recipes, 3rd ed., section 6.2.2 (`erfccheb`)
+_ERFC_CHEB = (
+    -1.3026537197817094, 6.4196979235649026e-1, 1.9476473204185836e-2,
+    -9.561514786808631e-3, -9.46595344482036e-4, 3.66839497852761e-4,
+    4.2523324806907e-5, -2.0278578112534e-5, -1.624290004647e-6,
+    1.303655835580e-6, 1.5626441722e-8, -8.5238095915e-8, 6.529054439e-9,
+    5.059343495e-9, -9.91364156e-10, -2.27365122e-10, 9.6467911e-11,
+    2.394038e-12, -6.886027e-12, 8.94487e-13, 3.13092e-13, -1.12708e-13,
+    3.81e-16, 7.106e-15, -1.523e-15, -9.4e-17, 1.21e-16, -2.8e-17)
+
+
+def _normal_log_cdf(a):
+    """log Phi(a) of the standard normal, elementwise.
+
+    With z = |a| / sqrt(2) and t = 2 / (2 + z), Phi(-|a|) = erfc(z) / 2 =
+    t exp(-z^2 + (c0 + ty d) / 2 - dd) / 2, where ty = 4t - 2 and d, dd end
+    Clenshaw's recurrence over the other 27 coefficients.  Its log is summed
+    term by term, so it never underflows, and Phi(a) = 1 - Phi(-a) for
+    a >= 0 goes through log1p.  Within 1e-15 of scipy.special.log_ndtr,
+    relative for a < 0 and absolute above; -inf, inf and nan map to -inf,
+    0 and nan.
+    """
+    a = np.asarray(a, dtype=float)
+    z = np.abs(a) * math.sqrt(0.5)
+    ty = 8.0 / (2.0 + z) - 2.0
+    d = dd = 0.0
+    for c in _ERFC_CHEB[:0:-1]:
+        d, dd = ty * d - dd + c, d
+    with np.errstate(over="ignore"):  # a^2 past the float range: log Phi(-|a|) is -inf
+        log_lower = (0.5 * (_ERFC_CHEB[0] + ty * d) - dd - 0.5 * a * a
+                     - np.log1p(0.5 * z) - _LOG_2)
+    return np.where(a < 0, log_lower, np.log1p(-np.exp(log_lower)))
+
+
 def skew_normal_log_pdf(x, location: float, scale: float, shape: float):
     """log of the skew-normal density 2/s phi(z) Phi(shape z), z = (x-loc)/s.
 
-    The normal log-cdf goes through log_ndtr, which stays accurate for
-    arbitrarily negative arguments.
+    log Phi is `_normal_log_cdf`, a Chebyshev log-erfc that stays accurate
+    (to 1e-15 relative) for arbitrarily negative arguments.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     z = (np.asarray(x, dtype=float) - location) / scale
-    return (math.log(2.0) - math.log(scale)
-            - 0.5 * z * z - 0.5 * _LOG_2PI + log_ndtr(shape * z))
+    return (_LOG_2 - math.log(scale)
+            - 0.5 * z * z - 0.5 * _LOG_2PI + _normal_log_cdf(shape * z))
 
 
 @dataclass(frozen=True)
@@ -262,14 +297,15 @@ class FitEvaluator:
     q's powers are added to (log weights plus the target's power: b lp
     in the cross term, (1 - a) lp for Renyi), the target's floored nodes
     where that power is negative, and the target-only sAB power term
-    log I(p^(a+b)).  Gamma fits take the sAB branch at (1, b) on the
-    normalized measure; the sAB value does not depend on the measure's
-    scale.  Each call computes z = (x - mu) / sigma once, derives log q
-    (floored as `GridDensity` floors it) and d log q / d phi from z and
-    z^2, and reduces the q-dependent power terms with one `lse_rows`
-    call: each term's log integral goes into the value and its softmax
-    weights into the gradient.  Values and floored-tail checks are those
-    of the `eval_*` functions behind `divergence_value`.
+    log I(p^(a+b)) or the error it raises, which each call raises after
+    checking q's own power term, in `eval_sab`'s order.  Gamma fits take
+    the sAB branch at (1, b) on the normalized measure; the sAB value does
+    not depend on the measure's scale.  Each call computes z = (x - mu) /
+    sigma once, derives log q (floored as `GridDensity` floors it) and
+    d log q / d phi from z and z^2, and reduces the q-dependent power terms
+    with one `lse_rows` call: each term's log integral goes into the value
+    and its softmax weights into the gradient.  Values and floored-tail
+    checks are those of the `eval_*` functions behind `divergence_value`.
     """
 
     def __init__(self, objective: FitObjective, p: GridDensity):
@@ -280,6 +316,7 @@ class FitEvaluator:
         sab = kind not in ("kl", "renyi")
         measure = QuadratureMeasure.trapezoid(p, normalized=sab)
         self.w = measure.weights
+        self.target_error = None
         if kind == "kl":
             return
         log_w = measure.log_weights
@@ -291,8 +328,11 @@ class FitEvaluator:
             self.terms = ("first-density power term", "cross term")
             self.target_floored = (None, cross_floored)
             # q enters the target-only term with exponent 0, so p fills both slots
-            self.t_target = _power_lse(0.0, a + b, self.lp, self.lp, log_w,
-                                       "second-density power term")[0]
+            try:
+                self.t_target = _power_lse(0.0, a + b, self.lp, self.lp, log_w,
+                                           "second-density power term")[0]
+            except EvaluationError as exc:
+                self.target_error = str(exc)
         else:
             self.q_powers, self.target_rows = (a,), cross[None]
             self.terms = ("Renyi cross term",)
@@ -316,6 +356,9 @@ class FitEvaluator:
         floored = lq <= LOG_FLOOR if min(self.q_powers) < 0 else None
         explosive = [_union(floored if c < 0 else None, target)
                      for c, target in zip(self.q_powers, self.target_floored)]
+        if self.target_error is not None:  # eval_sab checks q's own term first
+            power_lse_rows(e[:1], self.terms[:1], explosive[:1])
+            raise EvaluationError(self.target_error)
         t, s = power_lse_rows(e, self.terms, explosive)
         m = zs @ s.T  # each softmax row has mass 1
         if kind == "renyi":
