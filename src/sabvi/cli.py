@@ -7,8 +7,9 @@ diagnostics), ``toy`` (outlier-corrupted linear regression table) and
 
 Every run writes its fully resolved configuration to ``<out>/config.json``
 next to the results; feeding that file back with ``--config`` reproduces
-the outputs byte for byte.  Exit codes: 0 success, 1 diagnostic failure,
-2 configuration error, 3 numerical error.
+the outputs byte for byte.  A command checks all of its inputs before
+`_start` creates ``--out``, so a refused run writes nothing.  Exit codes:
+0 success, 1 diagnostic failure, 2 configuration error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .experiments import (
     normalize,
     run_toy_experiment,
 )
-from .models import BNNModel, model_from_config
+from .models import model_from_config
 from .optim import AdamConfig
 from .vi import TrainingDiverged
 
@@ -80,6 +81,15 @@ def _resolve_params(config) -> DivergenceParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _start(config: dict) -> Path:
+    """Create --out and write config.json into it: the run's first write,
+    made once the command has checked all of its inputs."""
+    outdir = Path(config["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    _dump_json(outdir / "config.json", config)
+    return outdir
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -93,9 +103,13 @@ def _density_spec(config: dict, key: str):
         raise SpecError(f"--{key}: {exc}") from exc
 
 
-def cmd_divergence(config: dict, outdir: Path) -> int:
+def cmd_divergence(config: dict) -> int:
+    if not config.get("p") or not config.get("q"):
+        raise ConfigError("divergence needs --p and --q density specs")
+    specs = [_density_spec(config, key) for key in ("p", "q")]
     params = _resolve_params(config)
-    p, q = tabulate([_density_spec(config, key) for key in ("p", "q")], config["grid_points"])
+    p, q = tabulate(specs, config["grid_points"])
+    outdir = _start(config)
     value = eval_sab(params, p, q)
     result = {"value": value, "region": classify_region(params).value,
               "alpha": params.alpha, "beta": params.beta, "lambda": params.lam}
@@ -122,21 +136,28 @@ def _fit_objective(config: dict) -> FitObjective:
     raise ConfigError(f"unknown fit divergence {kind!r}")
 
 
-def cmd_fit_density(config: dict, outdir: Path) -> int:
+def cmd_fit_density(config: dict) -> int:
+    for key in ("init_mu", "init_log_sigma"):
+        value = config.get(key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    if config.get("init_log_sigma") is not None and config.get("init_mu") is None:
+        raise ConfigError("--init-log-sigma needs --init-mu")
+    spec = _density_spec(config, "target")
     # parameters on a limit surface (or non-finite) are a bad request, not
     # a numerical failure of the fit
     try:
         objective = _fit_objective(config)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-    (target,) = tabulate([_density_spec(config, "target")], config["grid_points"])
+    (target,) = tabulate([spec], config["grid_points"])
 
     init = None
     if config.get("init_mu") is not None:
         log_sigma = config.get("init_log_sigma")
         init = Gaussian1D(config["init_mu"], 0.0 if log_sigma is None else log_sigma)
     opt = AdamConfig(learning_rate=config["learning_rate"])
+    outdir = _start(config)
     result = fit_gaussian(objective, target, init=init, opt=opt,
                           max_iters=config["max_iters"])
 
@@ -153,7 +174,8 @@ def cmd_fit_density(config: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(config: dict, outdir: Path) -> int:
+def cmd_gradcheck(config: dict) -> int:
+    outdir = _start(config)
     perturb = 0.01 if config.get("inject_gradient_error") else 0.0
     rows = gradcheck.run_suites(only=config.get("only"), seed=config["seed"],
                                 perturb=perturb)
@@ -198,13 +220,14 @@ def _parse_settings(text: str, n_samples: int) -> list[tuple[float, float]]:
     return out
 
 
-def cmd_toy(config: dict, outdir: Path) -> int:
+def cmd_toy(config: dict) -> int:
     settings = _parse_settings(config["settings"], config["mc_samples"])
     seeds = [config["seed_base"] + i for i in range(config["seeds"])]
     cfg = ToyRunConfig(n_train=config["train_size"], n_test=config["test_size"],
                        dim=config["dim"], p_outliers=config["outliers"],
                        mc_samples=config["mc_samples"], steps=config["steps"],
                        learning_rate=config["learning_rate"])
+    outdir = _start(config)
     result = run_toy_experiment(settings, seeds, cfg, collect_reports=True)
     reports = result.pop("reports")
     _dump_json(outdir / "results.json", result)
@@ -228,7 +251,11 @@ UCI_FULL_SCALE = {"grid_step": 0.25, "k1": 10, "k2": 2, "hidden": [50, 50],
                   "mc_samples": 25, "steps": 500}
 
 
-def cmd_uci(config: dict, outdir: Path) -> int:
+def cmd_uci(config: dict) -> int:
+    if not config.get("csv"):
+        raise ConfigError("uci needs --csv")
+    if min(config["hidden"]) < 1:
+        raise ConfigError(f"--hidden sizes must be at least 1, got {config['hidden']}")
     dataset = normalize(load_csv(config["csv"], config["target_column"]))
     if config["corrupt"] > 0:
         dataset = corrupt(dataset, config["corrupt"], config["seed"])
@@ -244,9 +271,6 @@ def cmd_uci(config: dict, outdir: Path) -> int:
             model = model_from_config(read_json_file(config["model_config"]))
         except ValueError as exc:
             raise ConfigError(f"--model-config: {exc}") from exc
-        if not isinstance(model, BNNModel):
-            raise ConfigError("the grid search trains Bayesian networks; "
-                              "give a 'bnn' model config")
         if model.layer_sizes[0] != dataset.dim:
             raise ConfigError(f"model input size {model.layer_sizes[0]} does not "
                               f"match the {dataset.dim} CSV features")
@@ -255,6 +279,7 @@ def cmd_uci(config: dict, outdir: Path) -> int:
                               f"config asks for prior_sigma {model.prior_sigma}")
         cv_cfg = replace(cv_cfg, hidden=model.layer_sizes[1:-1],
                          noise_sigma=model.noise_sigma, learn_noise=model.learn_noise)
+    outdir = _start(config)  # nested_cv refuses a column constant on one outer fold
     report = nested_cv(dataset, GridSearchSpec(step=config["grid_step"]), k1=k1, k2=k2,
                        config=cv_cfg, seed=config["seed"], collect_reports=True)
     payload = report.to_dict()
@@ -428,10 +453,12 @@ _MIN_COUNTS = {
 _FRACTIONS = {"toy": "outliers", "uci": "corrupt"}  # each must lie in [0, 1)
 _SEEDS = {"toy": "seed_base", "uci": "seed", "gradcheck": "seed"}
 _MAX_SEED = 2**64 - 1  # seeds key 64-bit Philox streams
-_SPEC_FLAGS = {"divergence": ("p", "q"), "fit-density": ("target",)}
 
 
 def _validate(config: dict) -> None:
+    """The checks shared across commands: counts, learning rate and grid
+    step, fractions and seeds.  Each command checks the rest of its inputs
+    itself, before `_start`."""
     cmd = config["command"]
     for key, least in _MIN_COUNTS.get(cmd, {}).items():
         if config[key] < least:
@@ -454,23 +481,6 @@ def _validate(config: dict) -> None:
         if cmd == "toy" and seed + config["seeds"] - 1 > _MAX_SEED:
             raise ConfigError(f"{flag} {seed} with --seeds {config['seeds']} runs past "
                               f"the largest seed, 2**64 - 1")
-    if cmd == "toy":
-        _parse_settings(config["settings"], config["mc_samples"])
-    if cmd == "fit-density":
-        for key in ("init_mu", "init_log_sigma"):
-            value = config.get(key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
-        if config.get("init_log_sigma") is not None and config.get("init_mu") is None:
-            raise ConfigError("--init-log-sigma needs --init-mu")
-    if cmd == "divergence" and (not config.get("p") or not config.get("q")):
-        raise ConfigError("divergence needs --p and --q density specs")
-    for key in _SPEC_FLAGS.get(cmd, ()):
-        _density_spec(config, key)
-    if cmd == "uci" and not config.get("csv"):
-        raise ConfigError("uci needs --csv")
-    if cmd == "uci" and min(config["hidden"]) < 1:
-        raise ConfigError(f"--hidden sizes must be at least 1, got {config['hidden']}")
 
 
 def main(argv=None) -> int:
@@ -479,17 +489,14 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args, parser)
         _validate(config)
-        outdir = Path(config["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        _dump_json(outdir / "config.json", config)
-        return COMMANDS[config["command"]](config, outdir)
+        return COMMANDS[config["command"]](config)
     except (ConfigError, SpecError, CSVFormatError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, FileExistsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, DomainError, TrainingDiverged, np.linalg.LinAlgError) as exc:
-        if isinstance(exc, TrainingDiverged):  # only commands train, so outdir exists
-            _dump_json(outdir / "error.json", {"error": str(exc)})
+        if isinstance(exc, TrainingDiverged):  # trainings run only after _start
+            _dump_json(Path(config["out"]) / "error.json", {"error": str(exc)})
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -424,7 +424,10 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     `target` is a SkewMixtureTarget (put on its default grid) or a GridDensity.
     Converges when the gradient sup-norm drops below GRADIENT_TOL.  An
     evaluation error mid-run aborts and re-raises with the partial result
-    attached as ``exc.partial_result``.
+    attached as ``exc.partial_result``.  An iterate that leaves the float
+    range (a floating-point overflow, division by zero or invalid operation
+    in a step, or exp(log sigma) past the largest float) ends the fit the
+    same way, as an EvaluationError.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -438,20 +441,23 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     state = AdamState.init(np.array([init.mu, init.log_sigma]))
     trace = []
     converged = False
-    for _ in range(max_iters):
-        mu, log_sigma = state.params[0]
-        _require_finite(mu, log_sigma)
-        try:
-            value, grad = evaluator.value_and_grad(mu, log_sigma)
-        except EvaluationError as exc:
-            if trace:
-                exc.partial_result = FitResult(Gaussian1D(mu, log_sigma), np.array(trace),
-                                               False, len(trace))
-            raise
-        trace.append(value)
-        if np.abs(grad).max() < GRADIENT_TOL:
-            converged = True
-            break
-        adam_step(state, grad, opt)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for _ in range(max_iters):
+            mu, log_sigma = state.params[0]
+            try:
+                value, grad = evaluator.value_and_grad(mu, log_sigma)
+                trace.append(value)
+                if np.abs(grad).max() < GRADIENT_TOL:
+                    converged = True
+                    break
+                adam_step(state, grad, opt)
+            except (EvaluationError, FloatingPointError, OverflowError) as exc:
+                error = exc if isinstance(exc, EvaluationError) else EvaluationError(
+                    f"the fit left the float range at mu = {float(mu)!r}, "
+                    f"log sigma = {float(log_sigma)!r} ({exc})")
+                if trace:
+                    error.partial_result = FitResult(Gaussian1D(mu, log_sigma),
+                                                     np.array(trace), False, len(trace))
+                raise error
     return FitResult(final=Gaussian1D(mu, log_sigma), divergence_trace=np.array(trace),
                      converged=converged, iterations=len(trace))

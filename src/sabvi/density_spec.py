@@ -128,12 +128,17 @@ def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
              span: float = DEFAULT_GRID_SPAN) -> list[GridDensity]:
     """The specs on one shared grid, one GridDensity per spec: the first
     grid density's own grid, else n points over the union of the specs'
-    ``grid_range(span)``.  Every grid density must already be on it."""
+    ``grid_range(span)``, which must be a finite interval (a spec far out
+    or narrow enough collapses it in floating point).  Every grid density
+    must already be on it."""
     grids = [(spec.lo, spec.hi, spec.n) for spec in specs if isinstance(spec, GridDensity)]
     ranges = [spec.grid_range(span) for spec in specs if not isinstance(spec, GridDensity)]
     lo, hi, n = grids[0] if grids else (min(r[0] for r in ranges), max(r[1] for r in ranges), n)
     if any(grid != (lo, hi, n) for grid in grids):
         raise SpecError("grid-kind densities carry their own grid; "
                         "pair them only with densities that can be retabulated")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SpecError(f"the densities' shared grid range [{lo!r}, {hi!r}] is not a "
+                        f"finite interval with hi > lo")
     return [spec if isinstance(spec, GridDensity)
             else GridDensity.from_callable(spec.log_pdf, lo, hi, n) for spec in specs]

@@ -438,7 +438,9 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     """Outer k1-fold / inner k2-fold grid search over (alpha, beta).
 
     Expects a normalized (and usually corrupted) dataset.  Scaling is
-    refit on every outer training split; inner splits reuse the outer
+    refit on every outer training split, all of them before the first
+    training, so a column constant on one of them is a CSVFormatError
+    before any cell trains; inner splits reuse the outer
     fold's scaling and are built once per outer fold, shared by every
     cell.  Training always sees observed (corrupted) targets while
     validation and test scores use the clean ones.  The per-fold winner
@@ -473,9 +475,12 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
             train_reports.append({"fold": f, "role": role, **report.to_dict()})
 
     cell_params = [DivergenceParams(*cell) for cell in cells]
-    for f, test_idx in enumerate(outer_folds):
-        train_idx = np.concatenate([fold for j, fold in enumerate(outer_folds) if j != f])
-        xm, xs, ym, ys = _moments(dataset, train_idx, f" on the training rows of outer fold {f}")
+    train_rows = [np.concatenate([fold for j, fold in enumerate(outer_folds) if j != f])
+                  for f in range(k1)]
+    scalings = [_moments(dataset, train_idx, f" on the training rows of outer fold {f}")
+                for f, train_idx in enumerate(train_rows)]
+    for f, (test_idx, train_idx, (xm, xs, ym, ys)) in enumerate(
+            zip(outer_folds, train_rows, scalings)):
         X_tr = (dataset.X[train_idx] - xm) / xs
         y_tr = (dataset.y[train_idx] - ym) / ys
         y_tr_clean = (y_clean[train_idx] - ym) / ys

@@ -11,10 +11,12 @@ and one vector-matrix product per row.  Prediction needs two more:
 and ``noise_var(thetas)``, the observation noise variance averaged over
 them.  A row's log joint, gradient and outputs do not depend on which
 rows share its batch, bit for bit, so batched training equals training
-each cell alone.  ``log_joint(theta, data)``,
-``grad_log_joint(theta, data)`` and ``predict_f(theta, X)`` are one-row
-views of the batched methods, for callers that hold a single theta.
-``data`` is any object with ``X`` (N x D) and ``y`` (N,) attributes.
+each cell alone.  ``log_joint(theta, data)`` and
+``grad_log_joint(theta, data)`` are one-row views of the batched method;
+no command calls them, but the benchmark's tracer wraps them.  ``data`` is
+any object with ``X`` (N x D) and ``y`` (N,) attributes.  `BNNModel`
+serializes itself with ``to_config()``, and `model_from_config` rebuilds
+it: "bnn" is the one model-config kind, the network ``uci`` trains.
 
 Gradient correctness for every model is enforced by
 `check_log_joint_gradient`, the shared finite-difference conformance
@@ -106,9 +108,6 @@ class BLRModel:
         """The fixed observation-noise variance, whatever the rows."""
         return self.noise_sigma**2
 
-    def predict_f(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self.outputs(np.asarray(theta)[None], X)[0]
-
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta_k, data) and its gradient for every row of K x dim thetas.
 
@@ -135,14 +134,6 @@ class BLRModel:
 
     def grad_log_joint(self, theta: np.ndarray, data) -> np.ndarray:
         return self.log_joint_and_grad(np.asarray(theta)[None], data)[1][0]
-
-    def to_config(self) -> dict:
-        """The JSON-friendly dict `model_from_config` rebuilds this model from."""
-        return {"kind": "blr", "input_dim": self.input_dim,
-                "prior_w_sigma": self.prior_w_sigma,
-                "prior_b_sigma": self.prior_b_sigma,
-                "noise_sigma": self.noise_sigma,
-                "include_bias": self.include_bias}
 
 
 def _blr_statistics(model: BLRModel, data):
@@ -250,9 +241,6 @@ class BNNModel:
             return float(np.mean(np.exp(2.0 * thetas[:, -1])))
         return self.noise_sigma**2
 
-    def predict_f(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self.outputs(np.asarray(theta)[None], X)[0]
-
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta_k, data) and its gradient for every row of K x dim thetas.
 
@@ -317,45 +305,29 @@ def _positive(name: str, value):
     return value
 
 
-def model_from_config(config: dict):
-    """Build a model from its configuration dict (kinds: "blr", "bnn")."""
+def model_from_config(config: dict) -> BNNModel:
+    """Build the network a model configuration dict describes; "bnn" is the
+    one kind."""
     if not isinstance(config, dict):
         raise ValueError(f"model config must be a JSON object, got {type(config).__name__}")
-    kind = config.get("kind")
-
-    def number(name, default=None):
-        return _positive(name, config[name] if default is None else config.get(name, default))
-
-    def size(name, value):
-        if type(_positive(name, value)) is not int:
-            raise ValueError(f"model config field {name!r} must be an integer of at least 1, "
-                             f"got {value!r}")
-        return value
-
-    def flag(name, default):
-        if not isinstance(value := config.get(name, default), bool):
-            raise ValueError(f"model config field {name!r} must be true or false, got {value!r}")
-        return value
-
-    try:
-        if kind == "blr":
-            return BLRModel(input_dim=size("input_dim", config["input_dim"]),
-                            prior_w_sigma=number("prior_w_sigma", 1.0),
-                            prior_b_sigma=number("prior_b_sigma", 1.0),
-                            noise_sigma=number("noise_sigma", 0.1),
-                            include_bias=flag("include_bias", True))
-        if kind == "bnn":
-            sizes = config["layer_sizes"]
-            if not isinstance(sizes, list):
-                raise ValueError(f"model config field 'layer_sizes' must be a list, "
-                                 f"got {sizes!r}")
-            return BNNModel(layer_sizes=tuple(size("layer_sizes", s) for s in sizes),
-                            prior_sigma=number("prior_sigma", 1.0),
-                            noise_log_sigma=math.log(number("noise_sigma", 0.1)),
-                            learn_noise=flag("learn_noise", False))
-    except KeyError as exc:
-        raise ValueError(f"model config missing field {exc}") from exc
-    raise ValueError(f"unknown model kind {kind!r}")
+    if (kind := config.get("kind")) != "bnn":
+        raise ValueError(f"unknown model kind {kind!r}; a model config describes a 'bnn' "
+                         f"network")
+    if "layer_sizes" not in config:
+        raise ValueError("model config missing field 'layer_sizes'")
+    if not isinstance(sizes := config["layer_sizes"], list):
+        raise ValueError(f"model config field 'layer_sizes' must be a list, got {sizes!r}")
+    for size in sizes:
+        if type(_positive("layer_sizes", size)) is not int:
+            raise ValueError(f"model config field 'layer_sizes' must be an integer of at "
+                             f"least 1, got {size!r}")
+    prior_sigma = _positive("prior_sigma", config.get("prior_sigma", 1.0))
+    noise_sigma = _positive("noise_sigma", config.get("noise_sigma", 0.1))
+    if not isinstance(learn_noise := config.get("learn_noise", False), bool):
+        raise ValueError(f"model config field 'learn_noise' must be true or false, "
+                         f"got {learn_noise!r}")
+    return BNNModel(layer_sizes=tuple(sizes), prior_sigma=prior_sigma,
+                    noise_log_sigma=math.log(noise_sigma), learn_noise=learn_noise)
 
 
 # ---------------------------------------------------------------------------

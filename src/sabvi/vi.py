@@ -24,7 +24,9 @@ a_k, b_k, G_k = d a_k/d theta (so d a_k/d mu = G_k) and
 d a_k/d log sigma = G_k * sigma * eps_k; b_k depends on the variational
 parameters only through -sum(log sigma) once reparameterized.  `_evaluate`
 makes them, with the one ``model.log_joint_and_grad`` call of this module,
-and the estimators are functions of one cell's rows.  Each term
+and the estimators are functions of one cell's rows; `sample_rows` is
+its one-q view, which the gradient diagnostics read.  The module forms
+its samples mu + sigma eps nowhere else.  Each term
 differentiates into a softmax-weighted average, and with s1, s3 the
 softmax weights of terms 1 and 3 the whole gradient is one weight vector
 
@@ -132,13 +134,6 @@ class MCConfig:
 
     def to_dict(self) -> dict:
         return {"n_samples": self.n_samples, "seed": self.seed}
-
-
-def sample_reparam(q: MeanFieldGaussian, noise: np.ndarray) -> np.ndarray:
-    """theta_k = mu + sigma * eps_k, one row per row eps_k of the K x d noise."""
-    if noise.ndim != 2 or noise.shape[1] != q.dim:
-        raise ValueError(f"noise of shape {noise.shape} does not match q dim {q.dim}")
-    return q.mu[None, :] + q.sigma[None, :] * noise
 
 
 class SampleRows(NamedTuple):

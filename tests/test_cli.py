@@ -200,6 +200,17 @@ class TestFitDensityCommand:
                        "--init-log-sigma", math.log(0.1), "--learning-rate", 2.0,
                        "--max-iters", 50, "--out", tmp_path / "x") == 3
 
+    @pytest.mark.parametrize("args", [
+        ("--learning-rate", 1e300),
+        ("--init-mu", 1e300),
+        ("--init-mu", 0, "--init-log-sigma", -800),
+        ("--init-mu", 0, "--init-log-sigma", 800),
+    ], ids=["huge-step", "far-mu", "tiny-sigma", "huge-sigma"])
+    def test_iterate_past_the_float_range_is_numerical_error(self, tmp_path, capsys, args):
+        assert run_cli("fit-density", "--divergence", "kl", *args, "--max-iters", 50,
+                       "--out", tmp_path / "x") == 3
+        assert "numerical error: the fit left the float range" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -344,19 +355,19 @@ class TestUciCommand:
          "field 'learn_noise' must be true or false, got 'false'"),
         ({"kind": "bnn", "layer_sizes": [3, 4, 1], "learn_noise": 0},
          "field 'learn_noise' must be true or false, got 0"),
-        ({"kind": "blr", "input_dim": 3.5}, "field 'input_dim' must be an integer of at least 1"),
-        ({"kind": "blr", "input_dim": 3, "include_bias": "no"},
-         "field 'include_bias' must be true or false, got 'no'"),
+        # the grid search trains networks, so "bnn" is the one kind
+        ({"kind": "blr", "input_dim": 3},
+         "unknown model kind 'blr'; a model config describes a 'bnn' network"),
         # integers beyond the float range
-        ({"kind": "blr", "input_dim": 2, "noise_sigma": 10**400},
+        ({"kind": "bnn", "layer_sizes": [3, 4, 1], "noise_sigma": 10**400},
          "field 'noise_sigma' must be a finite positive number, got 1000"),
         ({"kind": "bnn", "layer_sizes": [3, 10**400, 1]},
          "field 'layer_sizes' must be a finite positive number, got 1000"),
     ], ids=["prior_sigma", "kind", "list", "string", "noise_sigma_string",
             "noise_sigma_negative", "prior_sigma_nan", "layer_sizes_number",
             "layer_sizes_null", "layer_sizes_fraction", "layer_sizes_bool",
-            "learn_noise_string", "learn_noise_int", "input_dim_fraction",
-            "include_bias_string", "noise_sigma_huge_int", "layer_sizes_huge_int"])
+            "learn_noise_string", "learn_noise_int", "blr_kind", "noise_sigma_huge_int",
+            "layer_sizes_huge_int"])
     def test_bad_model_config_is_config_error(self, tmp_path, csv_path, capsys, config,
                                               message):
         model_cfg = tmp_path / "model.json"
@@ -514,6 +525,20 @@ class TestArgumentErrors:
         assert run_cli(*args) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,shown", [
+        (["divergence", "--alpha", 1, "--beta", 0.5, "--p", "gaussian:1e308,1",
+          "--q", "gaussian:1e308,1"], "[1e+308, 1e+308]"),
+        (["fit-density", "--divergence", "kl", "--target", "gaussian:1e20,1e-10"],
+         "[1e+20, 1e+20]"),
+    ], ids=["divergence", "fit-density"])
+    def test_collapsed_shared_grid_exits_2_naming_the_range(self, tmp_path, capsys, args,
+                                                            shown):
+        out = tmp_path / "run"
+        assert run_cli(*args, "--out", out) == 2
+        assert f"config error: the densities' shared grid range {shown}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault", ["inline", "file"])
     @pytest.mark.parametrize("flag", ["--p", "--q", "--target"])
     def test_malformed_density_spec_exits_2_naming_its_flag(self, tmp_path, capsys, flag,
@@ -604,3 +629,93 @@ class TestTrainingDivergedWritesError:
         assert run_cli(*args, "--out", out) == 3
         assert message in read_json(out / "error.json")["error"]
         assert "numerical error" in capsys.readouterr().err
+
+
+TOY_RUN = ["toy", "--settings", "1.0,0.0", "--seeds", 1, "--train-size", 20,
+           "--test-size", 20, "--dim", 2, "--steps", 2, "--mc-samples", 2]
+
+
+def _grid_spec(n):
+    x = np.linspace(-3.0, 3.0, n)
+    return json.dumps({"kind": "grid", "lo": -3.0, "hi": 3.0, "n": n,
+                       "log_values": gaussian_log_pdf(x, 0.0, 1.0).tolist()})
+
+
+class TestRefusedRunWritesNothing:
+    # refusals found once the command reads its own inputs: (arguments
+    # given the input files, message)
+    REFUSALS = {
+        "alpha-and-lambda": (lambda paths: [
+            "divergence", "--alpha", 1, "--lambda", 1.8, "--beta", 0.8,
+            "--p", "gaussian:0,1", "--q", "gaussian:1,1"],
+            "give exactly one of --alpha or --lambda"),
+        "renyi-without-alpha": (lambda paths: ["fit-density", "--divergence", "renyi"],
+                                "renyi fit needs --alpha"),
+        "sab-on-a-limit": (lambda paths: ["fit-density", "--divergence", "sab",
+                                          "--alpha", 1, "--beta", 0],
+                           "sab fit objective needs generic-region parameters"),
+        "grids-differ": (lambda paths: ["divergence", "--alpha", 1.1, "--beta", 0.4,
+                                        "--p", _grid_spec(201), "--q", _grid_spec(101)],
+                         "grid-kind densities carry their own grid"),
+        "folds-over-rows": (lambda paths: ["uci", "--csv", paths["csv"], "--k1", 100],
+                            "--k1 100 x --k2 2 folds need at least 200 rows"),
+        "bad-model-config": (lambda paths: ["uci", "--csv", paths["csv"],
+                                            "--model-config", paths["model"]],
+                             "model input size 7 does not match the 3 CSV features"),
+        "constant-column": (lambda paths: ["uci", "--csv", paths["constant"]],
+                            "zero variance feature 'b'"),
+    }
+
+    @staticmethod
+    def _inputs(tmp_path):
+        paths = {name: tmp_path / name for name in ("csv", "constant", "model")}
+        ds = gen_nonlinear(40, 3, seed=11)
+        save_csv(ds, paths["csv"])
+        X = ds.X.copy()
+        X[:, 1] = 2.0
+        save_csv(Dataset.raw(X, ds.y, feature_names=("a", "b", "c")), paths["constant"])
+        paths["model"].write_text(json.dumps({"kind": "bnn", "layer_sizes": [7, 4, 1]}))
+        return paths
+
+    @staticmethod
+    def _files(folder):
+        return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+    @pytest.mark.parametrize("refusal", list(REFUSALS))
+    def test_refusal_leaves_out_untouched(self, tmp_path, capsys, refusal):
+        build, message = self.REFUSALS[refusal]
+        args = build(self._inputs(tmp_path))
+        run, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_cli(*TOY_RUN, "--out", run) == 0
+        before = self._files(run)
+        capsys.readouterr()
+        assert run_cli(*args, "--out", run) == 2
+        assert message in capsys.readouterr().err
+        assert self._files(run) == before
+        # the earlier run still replays, byte for byte
+        assert run_cli("toy", "--config", run / "config.json") == 0
+        assert self._files(run) == before
+        assert run_cli(*args, "--out", fresh) == 2
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("args,parsed", [
+        (["divergence", "--alpha", 1.1, "--beta", 0.4, "--p", "gaussian:0,1",
+          "--q", "gaussian:1,1"], ["gaussian:0,1", "gaussian:1,1"]),
+        (["fit-density", "--divergence", "kl", "--target", "gaussian:0,1",
+          "--max-iters", 1], ["gaussian:0,1"]),
+        (TOY_RUN, ["1.0,0.0"]),
+    ], ids=["divergence", "fit-density", "toy"])
+    def test_each_spec_and_settings_string_is_parsed_once(self, tmp_path, monkeypatch,
+                                                          args, parsed):
+        seen = []
+
+        def spy(real):
+            def parse(text, *rest):
+                seen.append(text)
+                return real(text, *rest)
+            return parse
+
+        monkeypatch.setattr(cli, "parse_density_spec", spy(cli.parse_density_spec))
+        monkeypatch.setattr(cli, "_parse_settings", spy(cli._parse_settings))
+        assert run_cli(*args, "--out", tmp_path / "run") == 0
+        assert seen == parsed

@@ -323,6 +323,20 @@ class TestFitGaussian:
         assert partial is not None
         assert partial.iterations >= 1 and not partial.converged
 
+    @pytest.mark.parametrize("init,learning_rate,evaluated", [
+        (Gaussian1D(1e300, 0.0), 0.01, 0),  # z * z overflows
+        (Gaussian1D(0.0, -800.0), 0.01, 0),  # sigma underflows to 0
+        (Gaussian1D(0.0, 800.0), 0.01, 0),  # sigma overflows
+        (None, 1e300, 1),  # the first step sends sigma to 0
+    ], ids=["far-mu", "tiny-sigma", "huge-sigma", "huge-step"])
+    def test_iterate_past_the_float_range_is_evaluation_error(self, init, learning_rate,
+                                                              evaluated):
+        with pytest.raises(EvaluationError, match="the fit left the float range") as excinfo:
+            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default(), init=init,
+                         opt=AdamConfig(learning_rate=learning_rate), max_iters=50)
+        partial = getattr(excinfo.value, "partial_result", None)
+        assert (0 if partial is None else partial.iterations) == evaluated
+
     def test_max_iters_validated(self):
         with pytest.raises(ValueError):
             fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default(), max_iters=0)

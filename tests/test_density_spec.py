@@ -137,3 +137,13 @@ class TestTabulate:
             tabulate([p, parse_density_spec(grid_spec(21, hi=4.0))])
         a, b = tabulate([p, GaussianSpec(0.0, 1.0)])
         assert a is p and b.same_grid(p)
+
+    @pytest.mark.parametrize("specs,shown", [
+        ([GaussianSpec(1e308, 1.0)], "[1e+308, 1e+308]"),
+        ([GaussianSpec(1e20, 1e-10)], "[1e+20, 1e+20]"),
+        ([GaussianSpec(0.0, 1.0), GaussianSpec(1e308, 1e307)], "[-10.0, inf]"),
+    ], ids=["far-out", "narrow", "infinite"])
+    def test_collapsed_or_infinite_shared_range_is_spec_error(self, specs, shown):
+        with pytest.raises(SpecError) as excinfo:
+            tabulate(specs)
+        assert f"shared grid range {shown} is not a finite interval" in str(excinfo.value)

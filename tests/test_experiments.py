@@ -335,6 +335,29 @@ class TestNestedCV:
                            match="feature 'spike' on the training rows of outer fold"):
             nested_cv(ds, spec, k1=2, k2=2, config=cfg, seed=1)
 
+    def test_every_fold_scaling_is_checked_before_the_first_training(self, monkeypatch):
+        # 'spike' varies only through one row of outer fold 1, so fold 1
+        # trains on a constant column; fold 0, which would train first, does not
+        ds = self._tiny_dataset()
+        perm = rng.generator(1, rng.compose_stream(rng.STREAM_FOLDS)).permutation(ds.n)
+        spike = np.zeros((ds.n, 1))
+        spike[np.array_split(perm, 2)[1][0]] = 1.0
+        ds = Dataset.raw(np.hstack([ds.X, spike]), ds.y, ds.outlier_mask,
+                         feature_names=("a", "b", "c", "spike"))
+        trained, real_train_batch = [], experiments.train_batch
+
+        def train_batch(cells, *args):
+            trained.append(cells)
+            return real_train_batch(cells, *args)
+
+        monkeypatch.setattr(experiments, "train_batch", train_batch)
+        spec = GridSearchSpec(alpha_range=(1.0, 1.0), beta_range=(0.0, 0.0), step=0.5)
+        cfg = CVRunConfig(hidden=(3,), mc_samples=2, steps=2, predict_draws=5)
+        with pytest.raises(CSVFormatError,
+                           match="feature 'spike' on the training rows of outer fold 1"):
+            nested_cv(ds, spec, k1=2, k2=2, config=cfg, seed=1)
+        assert trained == []
+
     # three cells (0.5, 0.25), (1, 0.25), (1.5, 0.25) that share each split
     FAIL_GRID = GridSearchSpec(alpha_range=(0.5, 1.5), beta_range=(0.25, 0.25), step=0.5)
     FAIL_CONFIG = CVRunConfig(hidden=(3,), mc_samples=2, steps=5, predict_draws=10)

@@ -92,7 +92,8 @@ class TestBNN:
     def test_zero_parameters_give_zero_output(self, rng):
         model = BNNModel(layer_sizes=(3, 8, 1))
         X = rng.uniform(-1, 1, (6, 3))
-        np.testing.assert_array_equal(model.predict_f(np.zeros(model.dim), X), np.zeros(6))
+        np.testing.assert_array_equal(model.outputs(np.zeros((1, model.dim)), X)[0],
+                                      np.zeros(6))
 
     def test_zero_parameter_log_joint_closed_form(self, rng):
         model = BNNModel(layer_sizes=(2, 4, 1))
@@ -125,11 +126,6 @@ class TestBNN:
 
 
 class TestModelConfig:
-    def test_blr_roundtrip(self):
-        model = BLRModel(input_dim=3, prior_w_sigma=0.8, noise_sigma=0.2,
-                         include_bias=False)
-        assert model_from_config(model.to_config()) == model
-
     def test_bnn_roundtrip(self):
         model = BNNModel(layer_sizes=(4, 10, 1), noise_log_sigma=math.log(0.3),
                          learn_noise=True)
@@ -138,28 +134,26 @@ class TestModelConfig:
         assert back.noise_log_sigma == pytest.approx(model.noise_log_sigma)
         assert back.learn_noise
 
-    @pytest.mark.parametrize("config,expected", [
-        ({"kind": "blr", "input_dim": 3, "prior_w_sigma": 0.8, "noise_sigma": 0.2,
-          "include_bias": False},
-         '{"include_bias": false, "input_dim": 3, "kind": "blr", "noise_sigma": 0.2, '
-         '"prior_b_sigma": 1.0, "prior_w_sigma": 0.8}'),
+    def test_serialized_config_is_unchanged(self):
+        config = {"kind": "bnn", "layer_sizes": [4, 10, 1], "noise_sigma": 0.05,
+                  "learn_noise": True}
         # 0.05 does not survive exp(log(.)): the serialized noise keeps that rounding
-        ({"kind": "bnn", "layer_sizes": [4, 10, 1], "noise_sigma": 0.05, "learn_noise": True},
-         '{"kind": "bnn", "layer_sizes": [4, 10, 1], "learn_noise": true, '
-         '"noise_sigma": 0.05000000000000001, "prior_sigma": 1.0}'),
-    ])
-    def test_serialized_config_is_unchanged(self, config, expected):
-        assert json.dumps(model_from_config(config).to_config(), sort_keys=True) == expected
+        assert json.dumps(model_from_config(config).to_config(), sort_keys=True) == (
+            '{"kind": "bnn", "layer_sizes": [4, 10, 1], "learn_noise": true, '
+            '"noise_sigma": 0.05000000000000001, "prior_sigma": 1.0}')
 
     def test_defaults_fill_in(self):
         model = model_from_config({"kind": "bnn", "layer_sizes": [2, 5, 1]})
         assert model.prior_sigma == 1.0 and not model.learn_noise
 
     def test_bad_configs(self):
-        with pytest.raises(ValueError, match="unknown model kind"):
+        with pytest.raises(ValueError, match="unknown model kind 'gp'"):
             model_from_config({"kind": "gp"})
-        with pytest.raises(ValueError, match="missing field"):
-            model_from_config({"kind": "blr"})
+        with pytest.raises(ValueError, match="unknown model kind 'blr'; a model config "
+                                             "describes a 'bnn' network"):
+            model_from_config({"kind": "blr", "input_dim": 3})
+        with pytest.raises(ValueError, match="missing field 'layer_sizes'"):
+            model_from_config({"kind": "bnn"})
 
 
 class TestPredict:
@@ -169,7 +163,7 @@ class TestPredict:
         q = MeanFieldGaussian(theta, np.full(3, -30.0))
         X = rng.uniform(-1, 1, (7, 2))
         summary = predict(q, model, X, draws=50, seed=0)
-        np.testing.assert_allclose(summary.mean, model.predict_f(theta, X), atol=1e-6)
+        np.testing.assert_allclose(summary.mean, model.outputs(theta[None], X)[0], atol=1e-6)
 
     def test_posterior_draws_match_closed_form_mean(self, rng):
         X = rng.uniform(-1, 1, (30, 2))
@@ -216,7 +210,7 @@ class TestPredict:
         summary = predict(q, model, X, draws=draws, seed=4, stream=9)
         eps = sabrng.noise_block(4, 9, 0, draws, model.dim)
         thetas = q.mu + np.exp(q.log_sigma) * eps
-        outputs = np.stack([model.predict_f(theta, X) for theta in thetas])
+        outputs = np.stack([model.outputs(theta[None], X)[0] for theta in thetas])
         if getattr(model, "learn_noise", False):
             noise_var = np.mean(np.exp(2.0 * thetas[:, -1]))
         else:

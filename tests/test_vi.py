@@ -21,7 +21,6 @@ from sabvi.vi import (
     TrainingDiverged,
     kl_elbo_with_grad,
     mc_objective_with_grad,
-    sample_reparam,
     sample_rows,
     train,
     train_batch,
@@ -40,31 +39,27 @@ def conjugate_problem(seed=5, n=25):
     return model, data, float(mean[0]), math.sqrt(float(cov[0, 0]))
 
 
-class TestSampleReparam:
-    def test_zero_noise_returns_mean(self):
-        q = MeanFieldGaussian(np.array([1.0, -2.0]), np.array([0.3, -0.5]))
-        noise = np.zeros((4, 2))
-        np.testing.assert_array_equal(sample_reparam(q, noise),
-                                      np.tile(q.mu, (4, 1)))
-
-    def test_standard_q_returns_noise(self):
-        q = MeanFieldGaussian(np.zeros(3), np.zeros(3))
-        noise = sabrng.noise_block(1, 0, 0, 5, 3)
-        np.testing.assert_array_equal(sample_reparam(q, noise), noise)
-
-    def test_sample_mean_clt_bound(self):
-        q = MeanFieldGaussian(np.array([0.7]), np.array([math.log(2.0)]))
-        noise = sabrng.noise_block(2, 0, 0, 100_000, 1)
-        mean = sample_reparam(q, noise).mean()
-        assert abs(mean - 0.7) < 4 * 2.0 / math.sqrt(100_000)
-
-    def test_dim_mismatch(self):
-        q = MeanFieldGaussian(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            sample_reparam(q, sabrng.noise_block(0, 0, 0, 3, 5))
+def _samples(q, noise):
+    """The samples theta_k that `sample_rows` evaluates: under a standard
+    normal joint the gradient G_k is exactly -theta_k."""
+    return -sample_rows(q, GaussianJointModel(0.0, 1.0, dim=q.dim), None, noise).da_dmu
 
 
 class TestSampleRows:
+    def test_zero_noise_samples_the_mean(self):
+        q = MeanFieldGaussian(np.array([1.0, -2.0]), np.array([0.3, -0.5]))
+        np.testing.assert_array_equal(_samples(q, np.zeros((4, 2))), np.tile(q.mu, (4, 1)))
+
+    def test_standard_q_samples_the_noise(self):
+        q = MeanFieldGaussian(np.zeros(3), np.zeros(3))
+        noise = sabrng.noise_block(1, 0, 0, 5, 3)
+        np.testing.assert_array_equal(_samples(q, noise), noise)
+
+    def test_sample_mean_clt_bound(self):
+        q = MeanFieldGaussian(np.array([0.7]), np.array([math.log(2.0)]))
+        mean = _samples(q, sabrng.noise_block(2, 0, 0, 100_000, 1)).mean()
+        assert abs(mean - 0.7) < 4 * 2.0 / math.sqrt(100_000)
+
     @pytest.mark.parametrize("layer_sizes,learn_noise", [(None, False), ((2, 3, 1), True)],
                              ids=["blr", "bnn-learn-noise"])
     def test_stack_equals_each_q_alone_bit_for_bit(self, layer_sizes, learn_noise):
@@ -83,7 +78,7 @@ class TestSampleRows:
         model = GaussianJointModel(0.0, 1.0, dim=3)
         q = MeanFieldGaussian(np.array([0.4, -1.0, 2.0]), np.array([-0.7, 0.3, 1.1]))
         noise = sabrng.noise_block(5, 0, 0, 8, 3)
-        z = (sample_reparam(q, noise) - q.mu) / q.sigma
+        z = (_samples(q, noise) - q.mu) / q.sigma
         direct = (-0.5 * z**2 - q.log_sigma - 0.5 * math.log(2 * math.pi)).sum(axis=1)
         np.testing.assert_allclose(sample_rows(q, model, None, noise).b, direct,
                                    rtol=0, atol=1e-12)
@@ -102,7 +97,7 @@ class TestMCObjective:
         q = MeanFieldGaussian(np.array([0.2]), np.array([math.log(0.9)]))
         params = DivergenceParams(1.3, 0.4)
         noise = sabrng.noise_block(3, 0, 0, 64, 1)
-        thetas = sample_reparam(q, noise)
+        thetas = q.mu + q.sigma * noise
         a, _ = model.log_joint_and_grad(thetas, None)
         b = np.array([-0.5 * ((t[0] - 0.2) / 0.9) ** 2 - math.log(0.9)
                       - 0.5 * math.log(2 * math.pi) for t in thetas])
