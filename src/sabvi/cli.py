@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck, vi
-from .density_fit import FitObjective, Gaussian1D, fit_gaussian
+from .density_fit import FitObjective, Gaussian1D, fit_gaussian, moment_matched_init
 from .density_spec import SpecError, parse_density_spec, read_json_file, tabulate
 from .divergence import DivergenceParams, DomainError, EvaluationError, classify_region, eval_sab
 from .experiments import (
@@ -152,10 +152,14 @@ def cmd_fit_density(config: dict) -> int:
         raise ConfigError(str(exc)) from exc
     (target,) = tabulate([spec], config["grid_points"])
 
-    init = None
     if config.get("init_mu") is not None:
         log_sigma = config.get("init_log_sigma")
         init = Gaussian1D(config["init_mu"], 0.0 if log_sigma is None else log_sigma)
+    else:
+        try:
+            init = moment_matched_init(target)
+        except EvaluationError as exc:
+            raise ConfigError(f"--target: {exc}") from exc
     opt = AdamConfig(learning_rate=config["learning_rate"])
     outdir = _start(config)
     result = fit_gaussian(objective, target, init=init, opt=opt,

@@ -60,11 +60,6 @@ _LOG_2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(mu: float, log_sigma: float):
-    if not (math.isfinite(mu) and math.isfinite(log_sigma)):
-        raise ValueError("mu and log_sigma must be finite")
-
-
 @dataclass(frozen=True)
 class Gaussian1D:
     """The fitted family: a single Gaussian parameterized by (mu, log sigma)."""
@@ -73,7 +68,8 @@ class Gaussian1D:
     log_sigma: float
 
     def __post_init__(self):
-        _require_finite(self.mu, self.log_sigma)
+        if not (math.isfinite(self.mu) and math.isfinite(self.log_sigma)):
+            raise ValueError("mu and log_sigma must be finite")
 
     @property
     def sigma(self) -> float:
@@ -184,6 +180,9 @@ class SkewMixtureTarget:
         hi = max(c.location for c in self.components) + span * smax
         return lo, hi
 
+    def min_scale(self) -> float:
+        return min(c.scale for c in self.components)
+
     def tabulate(self, n: int = DEFAULT_GRID_POINTS, span: float = 10.0) -> GridDensity:
         lo, hi = self.grid_range(span)
         return GridDensity.from_callable(self.log_pdf, lo, hi, n)
@@ -201,7 +200,13 @@ def density_moments(density: GridDensity) -> tuple[float, float]:
 
 
 def moment_matched_init(target: GridDensity) -> Gaussian1D:
-    mean, std = density_moments(target)
+    """The Gaussian of the target's quadrature mean and stddev, which must be
+    finite and positive: a target too narrow for its grid is an EvaluationError."""
+    with np.errstate(all="ignore"):
+        mean, std = density_moments(target)
+    if not (math.isfinite(mean) and 0.0 < std < math.inf):
+        raise EvaluationError(f"the target's quadrature mean {mean!r} and stddev {std!r} give "
+                              f"no Gaussian start: the stddev must be positive and finite")
     return Gaussian1D(mean, math.log(std))
 
 

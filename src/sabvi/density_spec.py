@@ -16,9 +16,9 @@ the word ``mixture:default`` for the stock two-component skew target, a
 path prefixed with ``@``, or an inline JSON object.
 
 A spec parses to a `SkewMixtureTarget`, a `GaussianSpec` (both have
-``grid_range(span)`` and ``log_pdf(x)``, so they go on any grid) or a
-`GridDensity`, validated here once, which carries its own grid.
-`tabulate` puts specs on one shared grid.
+``grid_range(span)``, ``min_scale()`` and ``log_pdf(x)``, so they go on
+any fine enough grid) or a `GridDensity`, validated here once, which
+carries its own grid.  `tabulate` puts specs on one shared grid.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ class GaussianSpec:
 
     def grid_range(self, span: float) -> tuple[float, float]:
         return self.mean - span * self.stddev, self.mean + span * self.stddev
+
+    def min_scale(self) -> float:
+        return self.stddev
 
     def log_pdf(self, x):
         return gaussian_log_pdf(x, self.mean, self.stddev)
@@ -130,9 +133,10 @@ def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
     grid density's own grid, else n points over the union of the specs'
     ``grid_range(span)``, which must be a finite interval (a spec far out
     or narrow enough collapses it in floating point).  Every grid density
-    must already be on it."""
+    must already be on it, and the spacing may not exceed any ``min_scale()``."""
     grids = [(spec.lo, spec.hi, spec.n) for spec in specs if isinstance(spec, GridDensity)]
-    ranges = [spec.grid_range(span) for spec in specs if not isinstance(spec, GridDensity)]
+    others = [spec for spec in specs if not isinstance(spec, GridDensity)]
+    ranges = [spec.grid_range(span) for spec in others]
     lo, hi, n = grids[0] if grids else (min(r[0] for r in ranges), max(r[1] for r in ranges), n)
     if any(grid != (lo, hi, n) for grid in grids):
         raise SpecError("grid-kind densities carry their own grid; "
@@ -140,5 +144,10 @@ def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise SpecError(f"the densities' shared grid range [{lo!r}, {hi!r}] is not a "
                         f"finite interval with hi > lo")
+    spacing = (hi - lo) / (n - 1)
+    finest = min((spec.min_scale() for spec in others), default=math.inf)
+    if spacing > finest:
+        raise SpecError(f"the shared grid's spacing {spacing:.6g} exceeds the smallest "
+                        f"density scale {finest:.6g}, which it cannot resolve")
     return [spec if isinstance(spec, GridDensity)
             else GridDensity.from_callable(spec.log_pdf, lo, hi, n) for spec in specs]

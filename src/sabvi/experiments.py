@@ -250,22 +250,18 @@ def _train_and_score(cells, model, split, cfg, seed: int, stream_ids):
     and score each predictive mean against y_eval.
 
     Cell i trains and predicts from the streams addressed by stream_ids[i].
-    Returns one outcome per cell: (metrics dict, training report), or the
-    TrainingDiverged its training ended with.
+    Returns one (metrics dict, training report) pair per cell; a cell whose
+    report is `diverged` is not scored, and its metrics are None.
     """
     X_fit, y_fit, X_eval, y_eval = split
-    outcomes = train_batch(cells, MeanFieldGaussian.initial(model.dim), model,
-                           XYData(X_fit, y_fit), MCConfig(cfg.mc_samples, seed),
-                           AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
-                           [rng.compose_stream(rng.STREAM_TRAIN, *ids) for ids in stream_ids])
-    scored = []
-    for out, ids in zip(outcomes, stream_ids):
-        if not isinstance(out, TrainingDiverged):
-            summary = predict(out.final, model, X_eval, cfg.predict_draws, seed,
-                              stream=rng.compose_stream(rng.STREAM_PREDICT, *ids))
-            out = (metrics(y_eval, summary.mean), out)
-        scored.append(out)
-    return scored
+    reports = train_batch(cells, MeanFieldGaussian.initial(model.dim), model,
+                          XYData(X_fit, y_fit), MCConfig(cfg.mc_samples, seed),
+                          AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
+                          [rng.compose_stream(rng.STREAM_TRAIN, *ids) for ids in stream_ids])
+    return [(None if report.diverged else metrics(y_eval, predict(
+                report.final, model, X_eval, cfg.predict_draws, seed,
+                stream=rng.compose_stream(rng.STREAM_PREDICT, *ids)).mean), report)
+            for report, ids in zip(reports, stream_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +316,10 @@ def run_toy_experiment(settings: list[tuple[float, float]], seeds: list[int],
     for setting_idx, ((lam, beta), params) in enumerate(zip(settings, cells)):
         per_seed = []
         for seed, outcomes in zip(seeds, per_seed_outcomes):
-            out = outcomes[setting_idx]
-            if isinstance(out, TrainingDiverged):
-                raise TrainingDiverged(
-                    f"toy setting (lambda={lam}, beta={beta}) seed {seed}: {out}",
-                    out.report) from out
-            m, report = out
+            m, report = outcomes[setting_idx]
+            if report.diverged:
+                raise TrainingDiverged(f"toy setting (lambda={lam}, beta={beta}) seed {seed}: "
+                                       f"{report.diverged}", report)
             per_seed.append({"seed": seed, **m})
             if collect_reports:
                 reports.append(report.to_dict())
@@ -449,9 +443,11 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     train as one batch, as do the retraining and the KL baseline; every
     training keeps its own (fold, cell, split) stream, so the results are
     those of one training per cell.  Every cell is tried k2 times per
-    fold; a cell that has failed more than half of its fits so far is not
-    selectable, and one that failed more than half of all k1 * k2 is
-    excluded with a recorded warning.
+    fold.  One rule, applied once after all k1 * k2 inner fits of every
+    cell, decides exclusion: a cell that failed more than half of them is
+    excluded with a recorded warning, and no fold selects it.  Each fold
+    then selects among the other cells scored at least once in it, and
+    retrains its winner.
     """
     if k1 < 2 or k2 < 2:
         raise ValueError("need k1 >= 2 and k2 >= 2")
@@ -465,50 +461,49 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     outer_folds = np.array_split(perm, k1)
     y_clean = dataset.y_clean
 
-    val_scores = {cell: [] for cell in cells}
-    failures = dict.fromkeys(cells, 0)
-    fold_rows = []
-    train_reports = [] if collect_reports else None
-
-    def record(f, role, report):
-        if collect_reports:
-            train_reports.append({"fold": f, "role": role, **report.to_dict()})
-
     cell_params = [DivergenceParams(*cell) for cell in cells]
     train_rows = [np.concatenate([fold for j, fold in enumerate(outer_folds) if j != f])
                   for f in range(k1)]
     scalings = [_moments(dataset, train_idx, f" on the training rows of outer fold {f}")
                 for f, train_idx in enumerate(train_rows)]
+    outer_splits, inner = [], []  # per outer fold: its split, and its inner splits' outcomes
     for f, (test_idx, train_idx, (xm, xs, ym, ys)) in enumerate(
             zip(outer_folds, train_rows, scalings)):
         X_tr = (dataset.X[train_idx] - xm) / xs
         y_tr = (dataset.y[train_idx] - ym) / ys
         y_tr_clean = (y_clean[train_idx] - ym) / ys
-        outer_split = (X_tr, y_tr, (dataset.X[test_idx] - xm) / xs,
-                       (y_clean[test_idx] - ym) / ys)
+        outer_splits.append((X_tr, y_tr, (dataset.X[test_idx] - xm) / xs,
+                             (y_clean[test_idx] - ym) / ys))
 
         inner_perm = rng.generator(seed, rng.compose_stream(rng.STREAM_FOLDS, 1, f)) \
             .permutation(train_idx.size)
         inner_folds = np.array_split(inner_perm, k2)
-        inner = []  # per split, one outcome per cell
+        inner.append([])
         for j, val_rows in enumerate(inner_folds):
             fit_rows = np.concatenate([rows for jj, rows in enumerate(inner_folds) if jj != j])
             split = (X_tr[fit_rows], y_tr[fit_rows], X_tr[val_rows], y_tr_clean[val_rows])
-            inner.append(_train_and_score(cell_params, model, split, cfg, seed,
-                                          [(f, c, j) for c in range(len(cells))]))
+            inner[f].append(_train_and_score(cell_params, model, split, cfg, seed,
+                                             [(f, c, j) for c in range(len(cells))]))
 
+    failures = {cell: sum(outcomes[c][0] is None for splits in inner for outcomes in splits)
+                for c, cell in enumerate(cells)}
+    excluded = sorted(cell for cell in cells if failures[cell] > k1 * k2 / 2)
+    warnings = [f"cell (alpha={cell[0]}, beta={cell[1]}) failed {failures[cell]}/{k1 * k2} "
+                "fits; excluded from selection" for cell in excluded]
+
+    val_scores = {cell: [] for cell in cells}
+    fold_rows, trained = [], []  # trained: (fold, role, report) in report order
+    for f, (outer_split, splits) in enumerate(zip(outer_splits, inner)):
         selectable = {}  # cell -> mean inner validation RMSE in this fold
         for c, cell in enumerate(cells):
             scores = []
-            for j, outcomes in enumerate(inner):
-                if isinstance(outcomes[c], TrainingDiverged):
-                    failures[cell] += 1
-                    continue
+            for j, outcomes in enumerate(splits):
                 m, report = outcomes[c]
-                scores.append(m["rmse"])
-                record(f, f"inner-{j}", report)
+                if m is not None:
+                    scores.append(m["rmse"])
+                    trained.append((f, f"inner-{j}", report))
             val_scores[cell] += scores
-            if scores and failures[cell] <= (f + 1) * k2 / 2:
+            if scores and cell not in excluded:
                 selectable[cell] = float(np.mean(scores))
         if not selectable:
             raise TrainingDiverged(f"no trainable cell in outer fold {f}", None)
@@ -519,23 +514,14 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
         outcomes = _train_and_score([DivergenceParams(*cell) for cell in final_cells], model,
                                     outer_split, cfg, seed,
                                     [(f, len(cells) + i, 0) for i in range(len(final_cells))])
-        for out, role in zip(outcomes, ("retrain", "kl-baseline")):
-            if isinstance(out, TrainingDiverged):
-                raise out
-            record(f, role, out[1])
-        test_rmse = outcomes[0][0]["rmse"]
-        kl_rmse = outcomes[-1][0]["rmse"]
-        fold_rows.append({
-            "fold": f,
-            "selected": list(winner),
-            "selected_lambda": winner[0] + winner[1],
-            "test_rmse": test_rmse,
-            "kl_test_rmse": kl_rmse,
-        })
-
-    excluded = sorted(cell for cell in cells if failures[cell] > k1 * k2 / 2)
-    warnings = [f"cell (alpha={cell[0]}, beta={cell[1]}) failed {failures[cell]}/{k1 * k2} "
-                "fits; excluded from selection" for cell in excluded]
+        for (_, report), role in zip(outcomes, ("retrain", "kl-baseline")):
+            if report.diverged:
+                raise TrainingDiverged(report.diverged, report)
+            trained.append((f, role, report))
+        fold_rows.append({"fold": f, "selected": list(winner),
+                          "selected_lambda": winner[0] + winner[1],
+                          "test_rmse": outcomes[0][0]["rmse"],
+                          "kl_test_rmse": outcomes[-1][0]["rmse"]})
 
     cell_rows = [{
         "alpha": cell[0], "beta": cell[1], "lambda": round(cell[0] + cell[1], 10),
@@ -552,8 +538,7 @@ def nested_cv(dataset: Dataset, grid: GridSearchSpec, k1: int = 5, k2: int = 2,
     kl_rmses = np.array([row["kl_test_rmse"] for row in fold_rows])
     return CVReport(grid=grid, k1=k1, k2=k2, seed=seed, cells=cell_rows,
                     folds=fold_rows, excluded_cells=[list(c) for c in excluded],
-                    warnings=warnings, selected=selected,
-                    test_rmse_mean=float(test_rmses.mean()),
-                    test_rmse_std=float(test_rmses.std()),
-                    kl_rmse_mean=float(kl_rmses.mean()),
-                    train_reports=train_reports)
+                    warnings=warnings, selected=selected, test_rmse_mean=float(test_rmses.mean()),
+                    test_rmse_std=float(test_rmses.std()), kl_rmse_mean=float(kl_rmses.mean()),
+                    train_reports=[{"fold": f, "role": role, **report.to_dict()}
+                                   for f, role, report in trained] if collect_reports else None)

@@ -55,20 +55,21 @@ class AdamState:
 
 
 def adam_step(state: AdamState, grads: np.ndarray, config: AdamConfig,
-              rows: list[int] | None = None) -> AdamState:
-    """One bias-corrected ADAM update of `rows` (all rows by default), in place.
+              rows: np.ndarray | None = None) -> AdamState:
+    """One bias-corrected ADAM update, in place, of the rows mask `rows` picks (default all).
 
     `grads` has the shape of `state.params` (a vector for a one-row
-    state); the entries of rows that do not step are ignored.  Returns
-    `state`.
+    state); the entries of rows that do not step are ignored, and an
+    all-False mask is a no-op.  Returns `state`.
     """
     g = np.array(grads, dtype=float, ndmin=2, copy=None)
     if g.shape != state.params.shape:
         raise ValueError("gradient shape does not match parameters")
-    if rows is None:
+    if rows is None or rows.all():
         rows = range(len(state.t))
         params, m, v = state.params, state.m, state.v  # updated in place
     else:
+        rows = np.flatnonzero(rows)
         params, m, v, g = (a[rows] for a in (state.params, state.m, state.v, g))  # copies
     c1, c2 = [], []  # bias corrections per stepping row
     for r in rows:

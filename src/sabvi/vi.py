@@ -43,8 +43,8 @@ one estimator call per cell on its K rows, one ADAM update over the
 stacked rows.  A model row's log joint does not depend on the other rows
 of its batch, so each cell's outcome is bit for bit that of training it
 alone; `train` is the one-cell batch.  One C x steps mask records the
-steps taken (a non-finite step is skipped), and each cell's report, or the
-TrainingDiverged carrying it, is built once from it after the last step.
+steps taken (a non-finite step is skipped), and each cell's report, with
+the reason its training failed, if it did, is built once after the last step.
 
 Exact limit parameters (alpha = 0, beta = 0, alpha+beta = 0) are not
 supported by the sampling estimator; near-limit values are fine under the
@@ -222,6 +222,7 @@ class TrainReport:
     adam_config: AdamConfig
     init: MeanFieldGaussian  # q0, shared by every cell of a batch
     skipped_steps: int  # non-finite steps whose update was skipped
+    diverged: str | None  # why the training failed, or None if it finished
 
     @property
     def seed(self) -> int:
@@ -266,21 +267,22 @@ def train(params: DivergenceParams, q0: MeanFieldGaussian, model, data,
     rerun with the same configuration reproduces the trace bit for bit and
     concurrent runs stay independent by choosing distinct streams.  The
     (1, 0) corner routes through the negative-ELBO path; whatever is not
-    `trainable` is rejected up front.  A run that never sees a finite
-    step raises TrainingDiverged too, however few steps it has.  This is
-    the one-cell case of `train_batch`.
+    `trainable` is rejected up front.  A report that comes back
+    `diverged` is raised as TrainingDiverged, also for a run that never
+    sees a finite step, however few steps it has.  This is the one-cell
+    case of `train_batch`.
     """
     if stream is None:
         stream = rng.compose_stream(rng.STREAM_TRAIN)
-    (outcome,) = train_batch([params], q0, model, data, mc, opt, [stream])
-    if isinstance(outcome, TrainingDiverged):
-        raise outcome
-    return outcome
+    (report,) = train_batch([params], q0, model, data, mc, opt, [stream])
+    if report.diverged:
+        raise TrainingDiverged(report.diverged, report)
+    return report
 
 
 def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, data,
                 mc: MCConfig, opt: AdamConfig,
-                streams: list[int]) -> list[TrainReport | TrainingDiverged]:
+                streams: list[int]) -> list[TrainReport]:
     """Train C cells that share q0, model, data and configuration as one batch.
 
     Cell c draws its noise from its own (mc.seed, streams[c]) stream.  Each
@@ -289,14 +291,14 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     one estimator call per live cell on its rows, and takes one ADAM update
     over the cells whose value and gradient were finite; the C x steps mask
     `took` records it.  A cell whose last _MAX_BAD_STEPS steps were all
-    untaken gives up and leaves the batch, keeping its q at divergence.
-    After the last step each cell's outcome is built once from its first
-    `ran` steps: its TrainReport, or the TrainingDiverged (report attached)
-    that `train` would raise if it gave up or took none of at least one
-    step.  The outcomes equal C separate trainings bit for bit when a row's
-    log joint does not depend on the other rows of its batch, as for both
-    models.  A cell that is not `trainable` at mc.n_samples raises
-    DomainError before any step.
+    untaken gives up and leaves the batch, keeping its q at divergence;
+    `gave_up` holds the steps it ran, 0 for a cell still live.  After the
+    last step each cell's TrainReport is built once from its first `ran`
+    steps, with `diverged` set to the message `train` raises if the cell
+    gave up or took none of at least one step.  The reports equal C
+    separate trainings bit for bit when a row's log joint does not depend
+    on the other rows of its batch, as for both models.  A cell that is
+    not `trainable` at mc.n_samples raises DomainError before any step.
     """
     if len(cells) != len(streams):
         raise ValueError("need one stream per cell")
@@ -316,19 +318,19 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     grads = np.zeros_like(state.params)
     traces = np.empty((n_cells, opt.steps))
     took = np.zeros((n_cells, opt.steps), dtype=bool)  # took[c, t]: step t updated cell c
-    gave_up: list[int | None] = [None] * n_cells  # the steps a cell ran before giving up
+    gave_up = np.zeros(n_cells, dtype=int)  # the steps a cell ran before giving up, or 0
     noise_streams = [rng.NoiseStream(mc.seed, stream) for stream in streams]
-    live = list(range(n_cells))
     per_call = max(1, _BATCH_ROWS // k)
+    live = np.arange(n_cells)  # the cells whose gave_up is 0
     for step in range(opt.steps):
-        for start in range(0, len(live), per_call):
+        for start in range(0, live.size, per_call):
             batch = live[start:start + per_call]
             eps = np.array([noise_streams[c].block(step, k, d) for c in batch])
             rows = state.params[batch]  # fancy indexing copies
             with np.errstate(all="ignore"):
                 evaluated = _evaluate(rows[:, :d], rows[:, d:], np.exp(rows[:, d:]), eps,
                                       model, data)
-                for i, c in enumerate(batch):
+                for i, c in enumerate(batch.tolist()):
                     cell_rows = SampleRows(*(f[i] for f in evaluated))
                     if kl_paths[c]:
                         value, d_mu, d_ls = kl_elbo_with_grad(cell_rows)
@@ -337,31 +339,24 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
                     traces[c, step] = value
                     grads[c, :d] = d_mu
                     grads[c, d:] = d_ls
-        took[live, step] = np.isfinite(traces[live, step]) & np.isfinite(grads[live]).all(1)
-        stepped = []
-        for c in live:
-            if took[c, step]:
-                stepped.append(c)
-            elif step + 1 >= _MAX_BAD_STEPS and not took[c, step - _MAX_BAD_STEPS + 1:step].any():
-                gave_up[c] = step + 1
-        if len(stepped) < len(live):
-            live = [c for c in live if gave_up[c] is None]
-        if stepped:
-            adam_step(state, grads, opt, None if len(stepped) == n_cells else stepped)
+        ok = took[live, step] = np.isfinite(traces[live, step]) & np.isfinite(grads[live]).all(1)
+        if step + 1 >= _MAX_BAD_STEPS and not ok.all():  # the one place gave_up changes
+            missed = live[~ok]
+            streak = ~took[missed, step - _MAX_BAD_STEPS + 1:step + 1].any(axis=1)
+            gave_up[missed[streak]] = step + 1
+            live = np.flatnonzero(gave_up == 0)
+        adam_step(state, grads, opt, took[:, step])
 
-    outcomes: list[TrainReport | TrainingDiverged] = []
+    reports = []
     for c, params in enumerate(cells):
-        ran = opt.steps if gave_up[c] is None else gave_up[c]
-        report = TrainReport(alpha=params.alpha, beta=params.beta,
-                             final=MeanFieldGaussian(state.params[c, :d], state.params[c, d:]),
-                             trace=traces[c, :ran].copy(), stream=streams[c], mc_config=mc,
-                             adam_config=opt, init=q0,
-                             skipped_steps=ran - int(took[c, :ran].sum()))
-        why = None
-        if gave_up[c] is not None:
-            why = f"for {_MAX_BAD_STEPS} consecutive steps"
-        elif opt.steps and not took[c].any():
-            why = f"at all {opt.steps} steps"
-        outcomes.append(report if why is None else TrainingDiverged(
-            f"objective non-finite {why} at (alpha={params.alpha}, beta={params.beta})", report))
-    return outcomes
+        ran = int(gave_up[c]) or opt.steps
+        why = (f"for {_MAX_BAD_STEPS} consecutive steps" if gave_up[c] else
+               f"at all {opt.steps} steps" if opt.steps and not took[c].any() else None)
+        reports.append(TrainReport(
+            alpha=params.alpha, beta=params.beta,
+            final=MeanFieldGaussian(state.params[c, :d], state.params[c, d:]),
+            trace=traces[c, :ran].copy(), stream=streams[c], mc_config=mc, adam_config=opt,
+            init=q0, skipped_steps=ran - int(took[c, :ran].sum()),
+            diverged=None if why is None else
+            f"objective non-finite {why} at (alpha={params.alpha}, beta={params.beta})"))
+    return reports

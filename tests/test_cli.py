@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from sabvi.divergence import DivergenceParams, DomainError, gaussian_log_pdf
 from sabvi.experiments import CVRunConfig, Dataset, gen_nonlinear, save_csv
 from sabvi.models import BLRModel, XYData
 from sabvi.optim import AdamConfig
-from sabvi.vi import TrainingDiverged
 
 
 def run_cli(*args):
@@ -615,8 +615,11 @@ class TestToyRefusesWhatTheTrainerRefuses:
 class TestTrainingDivergedWritesError:
     @pytest.mark.parametrize("command", ["toy", "uci"])
     def test_error_json_and_numerical_exit(self, tmp_path, capsys, monkeypatch, command):
-        def train_batch(cells, *args, **kwargs):  # both harnesses' training entry
-            return [TrainingDiverged("forced divergence", None) for _ in cells]
+        real_train_batch = experiments.train_batch
+
+        def train_batch(*args):  # both harnesses' training entry
+            return [replace(report, diverged="forced divergence")
+                    for report in real_train_batch(*args)]
 
         monkeypatch.setattr(experiments, "train_batch", train_batch)
         path = tmp_path / "data.csv"
@@ -664,6 +667,16 @@ class TestRefusedRunWritesNothing:
                              "model input size 7 does not match the 3 CSV features"),
         "constant-column": (lambda paths: ["uci", "--csv", paths["constant"]],
                             "zero variance feature 'b'"),
+        "target-too-narrow": (lambda paths: ["fit-density", "--divergence", "kl",
+                                             "--target", "gaussian:0,1e-300"],
+                              "--target: the target's quadrature mean"),
+        "grid-too-coarse": (lambda paths: ["divergence", "--alpha", 1, "--beta", 0.5,
+                                           "--p", "gaussian:0,1e-9", "--q", "gaussian:0,1"],
+                            "spacing 0.005 exceeds the smallest density scale 1e-09"),
+        "grid-points-below-21": (lambda paths: ["divergence", "--alpha", 1, "--beta", 0.5,
+                                                "--p", "gaussian:0,1", "--q", "gaussian:0,1",
+                                                "--grid-points", 20],
+                                 "spacing 1.05263 exceeds the smallest density scale 1"),
     }
 
     @staticmethod

@@ -121,6 +121,15 @@ class TestSkewMixtureTarget:
         assert init.mu == pytest.approx(0.7, abs=1e-6)
         assert init.sigma == pytest.approx(1.3, abs=1e-6)
 
+    def test_moment_matched_init_of_an_unresolved_target_is_evaluation_error(self):
+        # stddev 1e-300 on its +-10 sigma grid: (x - mean)^2 underflows to 0
+        x = np.linspace(-1e-299, 1e-299, 4001)
+        target = GridDensity(-1e-299, 1e-299, gaussian_log_pdf(x, 0.0, 1e-300))
+        with pytest.raises(EvaluationError, match=r"stddev 0\.0 give no Gaussian start"):
+            moment_matched_init(target)
+        with pytest.raises(EvaluationError, match="give no Gaussian start"):
+            fit_gaussian(FitObjective.kl(), target, max_iters=1)
+
 
 class TestGradients:
     def test_randomized_fd_agreement(self):

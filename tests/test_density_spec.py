@@ -113,9 +113,9 @@ class TestParse:
 class TestTabulate:
     def test_mixture_and_gaussian_tabulate_their_log_pdf(self):
         for spec in (SkewMixtureTarget.default(), GaussianSpec(0.3, 1.1)):
-            (d,) = tabulate([spec], n=9, span=2.0)
-            assert (d.lo, d.hi, d.n) == (*spec.grid_range(2.0), 9)
-            np.testing.assert_array_equal(d.log_values, spec.log_pdf(np.linspace(d.lo, d.hi, 9)))
+            (d,) = tabulate([spec], n=21, span=2.0)
+            assert (d.lo, d.hi, d.n) == (*spec.grid_range(2.0), 21)
+            np.testing.assert_array_equal(d.log_values, spec.log_pdf(np.linspace(d.lo, d.hi, 21)))
 
     def test_grid_density_is_kept_on_its_own_grid(self):
         spec = parse_density_spec(grid_spec(21))
@@ -124,7 +124,7 @@ class TestTabulate:
 
     def test_shared_grid_covers_both_ranges_or_is_pinned(self):
         p, q = GaussianSpec(0.0, 1.0), GaussianSpec(2.0, 0.5)
-        assert [(d.lo, d.hi, d.n) for d in tabulate((p, q), n=7, span=4.0)] == [(-4.0, 4.0, 7)] * 2
+        assert [(d.lo, d.hi, d.n) for d in tabulate((p, q), n=17, span=4.0)] == [(-4.0, 4.0, 17)] * 2
         g = parse_density_spec(grid_spec(21))
         a, b = tabulate((p, g), n=7)
         assert (a.lo, a.hi, a.n) == (-3.0, 3.0, 21) and b is g
@@ -137,6 +137,32 @@ class TestTabulate:
             tabulate([p, parse_density_spec(grid_spec(21, hi=4.0))])
         a, b = tabulate([p, GaussianSpec(0.0, 1.0)])
         assert a is p and b.same_grid(p)
+
+    @pytest.mark.parametrize("specs,n,span,shown", [
+        # spacing 8/6 against q's stddev 0.5; 17 points space them 0.5 apart
+        ([GaussianSpec(0.0, 1.0), GaussianSpec(2.0, 0.5)], 7, 4.0, "spacing 1.33333 exceeds "
+         "the smallest density scale 0.5"),
+        # a lone Gaussian on its +-10 sigma range needs 21 points
+        ([GaussianSpec(0.3, 1.1)], 20, 10.0, "spacing 1.15789 exceeds the smallest density "
+         "scale 1.1"),
+        # the stock mixture's narrow component has scale 0.6
+        ([SkewMixtureTarget.default()], 9, 2.0, "spacing 1.4125 exceeds the smallest "
+         "density scale 0.6"),
+        ([GaussianSpec(0.0, 1e-9), GaussianSpec(0.0, 1.0)], 4001, 10.0, "spacing 0.005 "
+         "exceeds the smallest density scale 1e-09"),
+        ([GaussianSpec(0.0, 1e300), GaussianSpec(0.0, 1.0)], 4001, 10.0, "spacing 5e+297 "
+         "exceeds the smallest density scale 1"),
+    ], ids=["pair", "lone-gaussian", "mixture", "narrow", "wide"])
+    def test_grid_coarser_than_a_spec_is_spec_error(self, specs, n, span, shown):
+        with pytest.raises(SpecError) as excinfo:
+            tabulate(specs, n=n, span=span)
+        assert f"the shared grid's {shown}, which it cannot resolve" == str(excinfo.value)
+
+    def test_grid_spacing_equal_to_the_scale_is_accepted(self):
+        (d,) = tabulate([GaussianSpec(0.0, 1.0)], n=21)
+        assert d.spacing == 1.0
+        (stock,) = tabulate([SkewMixtureTarget.default()])
+        assert stock.spacing < 0.012
 
     @pytest.mark.parametrize("specs,shown", [
         ([GaussianSpec(1e308, 1.0)], "[1e+308, 1e+308]"),

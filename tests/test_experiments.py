@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,21 +364,21 @@ class TestNestedCV:
     FAIL_CONFIG = CVRunConfig(hidden=(3,), mc_samples=2, steps=5, predict_draws=10)
 
     def _diverge_on(self, monkeypatch, failing):
-        # the cells of a split train as one batch: force a per-cell divergence
+        # the cells of a split train as one batch: force a per-cell
+        # divergence wherever failing(params, stream) holds
         real_train_batch = experiments.train_batch
 
         def train_batch(cells, q0, model, data, mc, opt, streams):
-            keep = [i for i, params in enumerate(cells) if not failing(params)]
-            kept = dict(zip(keep, real_train_batch([cells[i] for i in keep], q0, model, data,
-                                                   mc, opt, [streams[i] for i in keep])))
-            return [kept.get(i, TrainingDiverged("forced divergence", None))
-                    for i in range(len(cells))]
+            reports = real_train_batch(cells, q0, model, data, mc, opt, streams)
+            return [replace(report, diverged="forced divergence")
+                    if failing(params, stream) else report
+                    for params, stream, report in zip(cells, streams, reports)]
 
         monkeypatch.setattr(experiments, "train_batch", train_batch)
 
     def test_always_failing_cell_is_excluded_and_never_selected(self, monkeypatch):
         bad = (1.0, 0.25)
-        self._diverge_on(monkeypatch, lambda p: (p.alpha, p.beta) == bad)
+        self._diverge_on(monkeypatch, lambda p, stream: (p.alpha, p.beta) == bad)
         rep = nested_cv(self._tiny_dataset(), self.FAIL_GRID, k1=2, k2=2,
                         config=self.FAIL_CONFIG, seed=5, collect_reports=True)
         assert rep.excluded_cells == [list(bad)]
@@ -394,7 +395,7 @@ class TestNestedCV:
         # is not more than half, so the cell is scored and not excluded
         seen = []
 
-        def failing(p):
+        def failing(p, stream):
             if (p.alpha, p.beta) != (1.5, 0.25):
                 return False
             seen.append(p)
@@ -407,8 +408,40 @@ class TestNestedCV:
         (row,) = [c for c in rep.cells if (c["alpha"], c["beta"]) == (1.5, 0.25)]
         assert (row["failures"], row["n_scores"]) == (2, 2)
 
+    @staticmethod
+    def _inner_fits_in_folds(folds_of_cell, k1=3, k2=2):
+        """failing(params, stream) for the inner fits of each (alpha, beta)
+        in the outer folds folds_of_cell names; retrainings never fail."""
+        fold_of = {rng.compose_stream(rng.STREAM_TRAIN, f, c, j): f
+                   for f in range(k1) for c in range(3) for j in range(k2)}
+        return lambda p, stream: fold_of.get(stream) in folds_of_cell.get((p.alpha, p.beta), ())
+
+    def test_excluded_cell_is_selected_by_no_fold(self, monkeypatch):
+        # (1, 0.25) fails its inner fits in outer folds 1-2, 4/6 of them,
+        # and (1.5, 0.25) both of fold 0.  A rule counting failures fold by
+        # fold let fold 0 select (1, 0.25), and the vote then chose it.
+        self._diverge_on(monkeypatch, self._inner_fits_in_folds(
+            {(1.0, 0.25): (1, 2), (1.5, 0.25): (0,)}))
+        rep = nested_cv(self._tiny_dataset(72), self.FAIL_GRID, k1=3, k2=2,
+                        config=self.FAIL_CONFIG, seed=5)
+        assert rep.excluded_cells == [[1.0, 0.25]]
+        assert rep.warnings == [
+            "cell (alpha=1.0, beta=0.25) failed 4/6 fits; excluded from selection"]
+        assert [c["failures"] for c in rep.cells] == [0, 4, 2]
+        assert [f["selected"] for f in rep.folds] == [[0.5, 0.25], [0.5, 0.25], [1.5, 0.25]]
+        assert tuple(rep.selected) == (0.5, 0.25)
+
+    def test_fold_whose_only_scored_cell_is_excluded_has_no_winner(self, monkeypatch):
+        # (1, 0.25) fails 4/6 fits, all outside fold 0, and the other cells
+        # fail every fit of fold 0: fold 0 has no cell it may select
+        self._diverge_on(monkeypatch, self._inner_fits_in_folds(
+            {(1.0, 0.25): (1, 2), (0.5, 0.25): (0,), (1.5, 0.25): (0,)}))
+        with pytest.raises(TrainingDiverged, match="no trainable cell in outer fold 0"):
+            nested_cv(self._tiny_dataset(72), self.FAIL_GRID, k1=3, k2=2,
+                      config=self.FAIL_CONFIG, seed=5)
+
     def test_every_cell_failing_is_reported(self, monkeypatch):
-        self._diverge_on(monkeypatch, lambda p: True)
+        self._diverge_on(monkeypatch, lambda p, stream: True)
         with pytest.raises(TrainingDiverged, match="no trainable cell in outer fold 0"):
             nested_cv(self._tiny_dataset(), self.FAIL_GRID, k1=2, k2=2,
                       config=self.FAIL_CONFIG, seed=5)

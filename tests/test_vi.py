@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sabvi import optim
 from sabvi import rng as sabrng
@@ -195,6 +196,47 @@ class TestMCGradient:
         assert math.hypot(d_mu[0], d_ls[0]) < 0.05
 
 
+def _generic_pair(pair):
+    alpha, beta = pair
+    return min(abs(alpha), abs(beta), abs(alpha + beta)) >= 0.1
+
+
+class TestOrthogonalBLROptimum:
+    """At q = the exact posterior of `orthogonal_blr`, log p(theta_k, X) - log q(theta_k)
+    is log Z for every draw, so the estimator's softmax weights s1 and s3 agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(_generic_pair),
+           data=st.data())
+    def test_gradient_vanishes_at_the_exact_posterior(self, orthogonal_blr, pair, data):
+        model, xy, q = orthogonal_blr
+        k = data.draw(st.integers(2, 25), label="K")
+        noise = data.draw(hnp.arrays(np.float64, (k, q.dim), elements=st.floats(-6.0, 6.0)),
+                          label="noise")
+        value, d_mu, d_ls = mc_objective_with_grad(DivergenceParams(*pair),
+                                                   sample_rows(q, model, xy, noise))
+        assert math.isfinite(value)
+        # the mean's gradient in posterior-SD units, log sigma's as it is
+        assert np.abs(d_mu * q.sigma).max() <= 1e-8
+        assert np.abs(d_ls).max() <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5, -0.4])
+    def test_lambda_one_is_iwae_minus_vr_over_alpha(self, orthogonal_blr, alpha):
+        # lambda = 1 zeroes term 2; term 1 is Burda et al.'s IWAE bound and
+        # term 3 is (1 - alpha) times Li & Turner's VR bound of order alpha
+        model, xy, q_star = orthogonal_blr
+        g, k = np.random.default_rng(0), 10
+        for _ in range(10):
+            q = MeanFieldGaussian(q_star.mu + 2.0 * q_star.sigma * g.standard_normal(q_star.dim),
+                                  q_star.log_sigma + g.uniform(-0.5, 0.5, q_star.dim))
+            rows = sample_rows(q, model, xy, g.standard_normal((k, q.dim)))
+            log_w = rows.a - rows.b
+            iwae = np.logaddexp.reduce(log_w) - math.log(k)
+            vr = (np.logaddexp.reduce((1.0 - alpha) * log_w) - math.log(k)) / (1.0 - alpha)
+            value, _, _ = mc_objective_with_grad(DivergenceParams(alpha, 1.0 - alpha), rows)
+            assert value == pytest.approx((iwae - vr) / alpha, rel=1e-8)
+
+
 class TestSampleSizeOrdering:
     def test_bigger_blocks_estimate_no_lower(self):
         # statistical check: the mean estimate with K=50 sits above the
@@ -287,14 +329,24 @@ class TestAdam:
         singles = [(p.copy(), np.zeros(width), np.zeros(width), 0) for p in stacked.params]
         for _ in range(1000):
             grads = g.standard_normal((n_rows, width)) * 10.0 ** g.integers(-4, 4, (n_rows, 1))
-            rows = [r for r in range(n_rows) if g.random() < 0.7 or r == 0]
-            adam_step(stacked, grads, cfg, None if len(rows) == n_rows else rows)
-            for r in rows:
+            took = g.random(n_rows) < 0.7
+            took[0] = True
+            adam_step(stacked, grads, cfg, took)
+            for r in np.flatnonzero(took):
                 singles[r] = self._scalar_adam(singles[r], grads[r], cfg)
         assert stacked.t == [t for *_, t in singles] and min(stacked.t) < 1000 == stacked.t[0]
         for r, single in enumerate(singles):
             for got, want in zip((stacked.params[r], stacked.m[r], stacked.v[r]), single):
                 np.testing.assert_array_equal(got, want)
+
+    def test_all_false_mask_is_a_no_op(self):
+        state = AdamState.init(np.arange(6.0).reshape(2, 3))
+        adam_step(state, np.ones((2, 3)), AdamConfig(), np.ones(2, dtype=bool))
+        before = [a.copy() for a in (state.params, state.m, state.v)]
+        adam_step(state, np.ones((2, 3)), AdamConfig(), np.zeros(2, dtype=bool))
+        assert state.t == [1, 1]
+        for got, want in zip((state.params, state.m, state.v), before):
+            np.testing.assert_array_equal(got, want)
 
     def test_config_validation(self):
         for value in (0.0, -1.0, math.nan, math.inf):
@@ -448,22 +500,22 @@ def _regression_problem(layer_sizes=(2, 3, 1), learn_noise=False, bar=None):
     return (model if bar is None else PoisonedRows(model, bar)), data
 
 
-def _outcome_json(outcome):
-    """Everything an outcome carries, NaNs and all bits included."""
-    if isinstance(outcome, TrainingDiverged):
-        return json.dumps({"diverged": str(outcome), **outcome.report.to_dict()})
-    return json.dumps(outcome.to_dict())
+def _outcome_json(report):
+    """Everything a report carries, NaNs and all bits included."""
+    return json.dumps({"diverged": report.diverged, **report.to_dict()})
 
 
 def _per_cell_outcomes(cells, model, data, mc, opt, streams):
-    outcomes = []
+    """One report per cell from `train`, the raised one for a cell that diverged."""
+    reports = []
     for params, stream in zip(cells, streams):
         try:
-            outcomes.append(train(params, MeanFieldGaussian.initial(model.dim), model, data,
-                                  mc, opt, stream=stream))
+            reports.append(train(params, MeanFieldGaussian.initial(model.dim), model, data,
+                                 mc, opt, stream=stream))
         except TrainingDiverged as exc:
-            outcomes.append(exc)
-    return outcomes
+            assert str(exc) == exc.report.diverged
+            reports.append(exc.report)
+    return reports
 
 
 CELL_POOL = [DivergenceParams(1.0, 0.0), DivergenceParams(0.5, 0.25),
@@ -483,11 +535,11 @@ class TestTrainBatch:
         alone = _per_cell_outcomes(cells, model, data, mc, opt, streams)
         assert [_outcome_json(o) for o in batch] == [_outcome_json(o) for o in alone]
         diverged, skipping, clean = batch
-        assert str(diverged) == ("objective non-finite for 10 consecutive steps "
-                                 "at (alpha=1.0, beta=0.0)")
-        assert (diverged.report.trace.size, diverged.report.skipped_steps) == (31, 21)
-        assert (skipping.trace.size, skipping.skipped_steps) == (40, 20)
-        assert (clean.trace.size, clean.skipped_steps) == (40, 0)
+        assert diverged.diverged == ("objective non-finite for 10 consecutive steps "
+                                     "at (alpha=1.0, beta=0.0)")
+        assert (diverged.trace.size, diverged.skipped_steps) == (31, 21)
+        assert (skipping.trace.size, skipping.skipped_steps, skipping.diverged) == (40, 20, None)
+        assert (clean.trace.size, clean.skipped_steps, clean.diverged) == (40, 0, None)
 
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.sampled_from(CELL_POOL), min_size=1, max_size=4),
