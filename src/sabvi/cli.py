@@ -278,9 +278,6 @@ def cmd_uci(config: dict) -> int:
         if model.layer_sizes[0] != dataset.dim:
             raise ConfigError(f"model input size {model.layer_sizes[0]} does not "
                               f"match the {dataset.dim} CSV features")
-        if model.prior_sigma != 1.0:
-            raise ConfigError(f"the grid search trains with prior_sigma 1.0; the model "
-                              f"config asks for prior_sigma {model.prior_sigma}")
         cv_cfg = replace(cv_cfg, hidden=model.layer_sizes[1:-1],
                          noise_sigma=model.noise_sigma, learn_noise=model.learn_noise)
     outdir = _start(config)  # nested_cv refuses a column constant on one outer fold

@@ -16,15 +16,15 @@ These weights are the softmaxes of the power terms the divergence value
 is made of, so a fit step is one fused evaluation (`FitEvaluator`) that
 exponentiates each term once for both.  `divergence_value` goes through
 the divergence module's `eval_*` functions instead and stays the
-independent reference: central finite differences of it are the test
-oracle for all four gradients, and the tests check the fused value
-against it.
+independent reference: its central differences,
+`gradcheck.finite_diff_gradient`, are the test oracle for all four
+gradients, and the tests check the fused value against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -380,18 +380,6 @@ def analytic_gradient(objective: FitObjective, q: Gaussian1D,
     A view of `FitEvaluator.value_and_grad`, the evaluation fits use.
     """
     return FitEvaluator(objective, p).value_and_grad(q.mu, q.log_sigma)[1]
-
-
-def finite_diff_gradient(objective: FitObjective, q: Gaussian1D, p: GridDensity,
-                         h: float = 1e-5) -> np.ndarray:
-    """Central-difference oracle for analytic_gradient."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    d_mu = (divergence_value(objective, replace(q, mu=q.mu + h), p)
-            - divergence_value(objective, replace(q, mu=q.mu - h), p)) / (2 * h)
-    d_ls = (divergence_value(objective, replace(q, log_sigma=q.log_sigma + h), p)
-            - divergence_value(objective, replace(q, log_sigma=q.log_sigma - h), p)) / (2 * h)
-    return np.array([d_mu, d_ls])
 
 
 # ---------------------------------------------------------------------------

@@ -154,18 +154,17 @@ def load_csv(path, target_column: str) -> Dataset:
         for r, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CSVFormatError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                bad = next(i for i, c in enumerate(row) if not _is_number(c))
-                raise CSVFormatError(
-                    f"{path}: non-numeric cell at row {r}, column {header[bad]!r}") from None
-            # float() accepts "nan" and "inf"; either would poison every fit
-            bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
-            if bad is not None:
-                raise CSVFormatError(
-                    f"{path}: non-finite cell {row[bad].strip()!r} at row {r}, "
-                    f"column {header[bad]!r}")
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise CSVFormatError(
+                        f"{path}: non-numeric cell at row {r}, column {name!r}") from None
+                # float() accepts "nan" and "inf"; either would poison every fit
+                if not math.isfinite(values[-1]):
+                    raise CSVFormatError(f"{path}: non-finite cell {cell.strip()!r} at row {r}, "
+                                         f"column {name!r}")
             rows.append(values)
     if not rows:
         raise CSVFormatError(f"{path}: no data rows")
@@ -173,14 +172,6 @@ def load_csv(path, target_column: str) -> Dataset:
     feat_idx = [i for i in range(len(header)) if i != t_idx]
     names = tuple(header[i] for i in feat_idx)
     return Dataset.raw(table[:, feat_idx], table[:, t_idx], feature_names=names)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def save_csv(dataset: Dataset, path, target_column: str = "y"):

@@ -16,10 +16,11 @@ each cell alone.  ``log_joint(theta, data)`` and
 no command calls them, but the benchmark's tracer wraps them.  ``data`` is
 any object with ``X`` (N x D) and ``y`` (N,) attributes.  `BNNModel`
 serializes itself with ``to_config()``, and `model_from_config` rebuilds
-it: "bnn" is the one model-config kind, the network ``uci`` trains.
+it: "bnn" is the one model-config kind, the network ``uci`` trains.  Both
+models put a standard-normal prior on every parameter.
 
 Gradient correctness for every model is enforced by
-`check_log_joint_gradient`, the shared finite-difference conformance
+`gradcheck.check_log_joint_gradient`, the finite-difference conformance
 check of the batched method, run both in the tests and by the
 gradient-diagnostics command.
 """
@@ -65,32 +66,24 @@ def _as_rows(thetas, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BLRModel:
-    """Gaussian-prior, Gaussian-likelihood linear regression.
+    """Standard-normal-prior, Gaussian-likelihood linear regression.
 
     theta packs the weights first and the bias last (when present).
     """
 
     input_dim: int
-    prior_w_sigma: float = 1.0
-    prior_b_sigma: float = 1.0
     noise_sigma: float = 0.1
     include_bias: bool = True
 
     def __post_init__(self):
-        if min(self.prior_w_sigma, self.prior_b_sigma, self.noise_sigma) <= 0:
-            raise ValueError("all model sigmas must be positive")
+        if self.noise_sigma <= 0:
+            raise ValueError("noise_sigma must be positive")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
 
     @property
     def dim(self) -> int:
         return self.input_dim + (1 if self.include_bias else 0)
-
-    def _prior_sigmas(self) -> np.ndarray:
-        sigmas = np.full(self.dim, float(self.prior_w_sigma))
-        if self.include_bias:
-            sigmas[-1] = self.prior_b_sigma
-        return sigmas
 
     def outputs(self, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
         """K x N regression outputs, one row per parameter row.
@@ -118,16 +111,13 @@ class BLRModel:
         """
         thetas = _as_rows(thetas, self.dim)
         gram, phi_y, yy, n = _blr_statistics(self, data)
-        sigmas = self._prior_sigmas()
-        scaled = thetas / sigmas
-        value = (-0.5 * np.einsum("kd,kd->k", scaled, scaled)
-                 - float(np.sum(np.log(sigmas))) - 0.5 * self.dim * _LOG_2PI)
+        value = -0.5 * np.einsum("kd,kd->k", thetas, thetas) - 0.5 * self.dim * _LOG_2PI
         gram_theta = np.matmul(thetas[:, None, :], gram)[:, 0]  # one product per row
         # ||y - Phi theta||^2 = y'y - 2 theta'Phi'y + theta'Phi'Phi theta
         sq = yy + np.einsum("kd,kd->k", thetas, gram_theta - 2.0 * phi_y)
         var = self.noise_sigma**2
         value -= 0.5 * sq / var + n * (math.log(self.noise_sigma) + 0.5 * _LOG_2PI)
-        return value, (phi_y - gram_theta) / var - scaled / sigmas
+        return value, (phi_y - gram_theta) / var - thetas
 
     def log_joint(self, theta: np.ndarray, data) -> float:
         return float(self.log_joint_and_grad(np.asarray(theta)[None], data)[0][0])
@@ -147,12 +137,12 @@ def _blr_statistics(model: BLRModel, data):
 def blr_exact_posterior(model: BLRModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Gaussian posterior (mean, covariance).
 
-    Precision = Phi' Phi / noise^2 + prior precisions.  A singular
+    Precision = Phi' Phi / noise^2 + I, the standard-normal prior's.  A singular
     precision raises numpy's LinAlgError; regularization is the prior's
     job, never added silently here.
     """
     gram, phi_y, _, _ = _blr_statistics(model, data)
-    precision = gram / model.noise_sigma**2 + np.diag(model._prior_sigmas() ** -2)
+    precision = gram / model.noise_sigma**2 + np.eye(model.dim)
     cov = np.linalg.inv(precision)
     mean = cov @ phi_y / model.noise_sigma**2
     return mean, cov
@@ -174,7 +164,6 @@ class BNNModel:
     """
 
     layer_sizes: tuple[int, ...]
-    prior_sigma: float = 1.0
     noise_log_sigma: float = math.log(0.1)
     learn_noise: bool = False
 
@@ -187,8 +176,6 @@ class BNNModel:
             raise ValueError("output layer must have size 1")
         if any(s < 1 for s in sizes):
             raise ValueError("all layer sizes must be >= 1")
-        if self.prior_sigma <= 0:
-            raise ValueError("prior_sigma must be positive")
 
     @property
     def noise_sigma(self) -> float:
@@ -250,9 +237,8 @@ class BNNModel:
         thetas = _as_rows(thetas, self.dim)
         X, y = _as_xy(data)
         k = len(thetas)
-        value = (-0.5 * np.einsum("kd,kd->k", thetas, thetas) / self.prior_sigma**2
-                 - self.dim * (math.log(self.prior_sigma) + 0.5 * _LOG_2PI))
-        grad = -thetas / self.prior_sigma**2
+        value = -0.5 * np.einsum("kd,kd->k", thetas, thetas) - 0.5 * self.dim * _LOG_2PI
+        grad = -thetas
         if self.learn_noise:
             sigma = np.exp(thetas[:, -1])
         else:
@@ -282,7 +268,7 @@ class BNNModel:
     def to_config(self) -> dict:
         """The JSON-friendly dict `model_from_config` rebuilds this model from."""
         return {"kind": "bnn", "layer_sizes": list(self.layer_sizes),
-                "prior_sigma": self.prior_sigma,
+                "prior_sigma": 1.0,
                 "noise_sigma": self.noise_sigma,
                 "learn_noise": self.learn_noise}
 
@@ -321,13 +307,15 @@ def model_from_config(config: dict) -> BNNModel:
         if type(_positive("layer_sizes", size)) is not int:
             raise ValueError(f"model config field 'layer_sizes' must be an integer of at "
                              f"least 1, got {size!r}")
-    prior_sigma = _positive("prior_sigma", config.get("prior_sigma", 1.0))
+    if (prior_sigma := _positive("prior_sigma", config.get("prior_sigma", 1.0))) != 1.0:
+        raise ValueError(f"every model has a standard-normal prior; the model config asks "
+                         f"for prior_sigma {prior_sigma}")
     noise_sigma = _positive("noise_sigma", config.get("noise_sigma", 0.1))
     if not isinstance(learn_noise := config.get("learn_noise", False), bool):
         raise ValueError(f"model config field 'learn_noise' must be true or false, "
                          f"got {learn_noise!r}")
-    return BNNModel(layer_sizes=tuple(sizes), prior_sigma=prior_sigma,
-                    noise_log_sigma=math.log(noise_sigma), learn_noise=learn_noise)
+    return BNNModel(layer_sizes=tuple(sizes), noise_log_sigma=math.log(noise_sigma),
+                    learn_noise=learn_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +364,3 @@ def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
     var = outputs.var(axis=0)
     return PredictiveSummary(mean=mean, std=np.sqrt(var + model.noise_var(thetas)),
                              draws=draws)
-
-
-# ---------------------------------------------------------------------------
-# shared gradient conformance check
-# ---------------------------------------------------------------------------
-
-
-def check_log_joint_gradient(model, data, seed: int = 0, n_points: int = 20,
-                             h: float = 1e-6, scale: float = 0.5) -> float:
-    """Max relative error between log_joint_and_grad and central differences.
-
-    Points are drawn continuously so ReLU kinks are almost surely avoided;
-    each component error is measured against max(1, |finite difference|).
-    The analytic gradients come from one batched call over the points, the
-    differences from one batched call per point over its 2 * dim
-    perturbed rows.
-    """
-    g = rng.generator(seed, rng.compose_stream(rng.STREAM_DATA))
-    thetas = scale * g.standard_normal((n_points, model.dim))
-    _, analytic = model.log_joint_and_grad(thetas, data)
-    worst = 0.0
-    for theta, grad in zip(thetas, analytic):
-        steps = h * np.maximum(1.0, np.abs(theta))
-        shifts = np.diag(steps)  # row i moves coordinate i
-        a, _ = model.log_joint_and_grad(np.concatenate([theta + shifts, theta - shifts]), data)
-        fd = (a[:model.dim] - a[model.dim:]) / (2 * steps)
-        worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))))
-    return worst

@@ -88,6 +88,16 @@ class TestCSVAndNormalization:
         with pytest.raises(CSVFormatError, match=rf"non-finite .* row 3, column '{column}'"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("row,message", [
+        ("1.0,nan,oops", "non-finite cell 'nan' at row 3, column 'b'"),
+        ("oops,nan,3.0", "non-numeric cell at row 3, column 'a'"),
+    ])
+    def test_first_bad_cell_in_a_row_is_named(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,y\n1.0,2.0,3.0\n{row}\n")
+        with pytest.raises(CSVFormatError, match=message):
+            load_csv(path, "y")
+
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

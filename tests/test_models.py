@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sabvi import rng as sabrng
-from sabvi.gradcheck import MODEL_GRAD_TOL, model_gradient_suite
+from sabvi.gradcheck import MODEL_GRAD_TOL, check_log_joint_gradient, model_gradient_suite
 from sabvi.models import (
     BLRModel,
     BNNModel,
     PredictiveSummary,
     XYData,
     blr_exact_posterior,
-    check_log_joint_gradient,
     model_from_config,
     predict,
 )
@@ -25,16 +24,15 @@ from sabvi.vi import MeanFieldGaussian
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _prior_at_zero(dims_and_sigmas):
-    return sum(-0.5 * _LOG_2PI - math.log(s) for s in dims_and_sigmas)
-
-
 class TestBLRLogJoint:
     def test_prior_only_closed_form(self):
-        model = BLRModel(input_dim=3, prior_w_sigma=1.0, prior_b_sigma=2.0)
+        # standard-normal prior on the three weights and the bias
+        model = BLRModel(input_dim=3)
         data = XYData(np.zeros((0, 3)), np.zeros(0))
-        want = _prior_at_zero([1.0, 1.0, 1.0, 2.0])
-        assert model.log_joint(np.zeros(4), data) == pytest.approx(want)
+        theta = np.array([0.5, -1.0, 2.0, 0.3])
+        want = -0.5 * float(theta @ theta) - 2.0 * _LOG_2PI
+        assert model.log_joint(theta, data) == pytest.approx(want)
+        np.testing.assert_allclose(model.grad_log_joint(theta, data), -theta)
 
     def test_single_zero_datum_adds_noise_term(self):
         model = BLRModel(input_dim=2)
@@ -57,16 +55,15 @@ class TestBLRLogJoint:
 
 class TestBLRExactPosterior:
     def test_no_data_returns_prior(self):
-        model = BLRModel(input_dim=2, prior_w_sigma=1.5, prior_b_sigma=0.5)
+        model = BLRModel(input_dim=2)
         mean, cov = blr_exact_posterior(model, XYData(np.zeros((0, 2)), np.zeros(0)))
         np.testing.assert_allclose(mean, 0.0)
-        np.testing.assert_allclose(cov, np.diag([2.25, 2.25, 0.25]))
+        np.testing.assert_allclose(cov, np.eye(3))
 
     def test_two_repeated_observations_hand_computed(self):
         # x = [1, 1], y = [1, 1], unit prior and noise, no bias:
         # precision = 1 + 2, mean = 2/3, variance = 1/3
-        model = BLRModel(input_dim=1, prior_w_sigma=1.0, noise_sigma=1.0,
-                         include_bias=False)
+        model = BLRModel(input_dim=1, noise_sigma=1.0, include_bias=False)
         mean, cov = blr_exact_posterior(model, XYData(np.ones((2, 1)), np.ones(2)))
         assert mean[0] == pytest.approx(2.0 / 3.0)
         assert cov[0, 0] == pytest.approx(1.0 / 3.0)
@@ -74,10 +71,9 @@ class TestBLRExactPosterior:
     def test_matches_ridge_regression(self, rng):
         X = rng.uniform(-1, 1, (40, 3))
         y = X @ np.array([0.4, 0.0, -0.3]) + 0.1 * rng.standard_normal(40)
-        model = BLRModel(input_dim=3, prior_w_sigma=0.8, noise_sigma=0.2,
-                         include_bias=False)
+        model = BLRModel(input_dim=3, noise_sigma=0.2, include_bias=False)
         mean, _ = blr_exact_posterior(model, XYData(X, y))
-        ridge = model.noise_sigma**2 / model.prior_w_sigma**2
+        ridge = model.noise_sigma**2  # over the unit prior variance
         want = np.linalg.solve(X.T @ X + ridge * np.eye(3), X.T @ y)
         np.testing.assert_allclose(mean, want, atol=1e-12)
 
@@ -144,7 +140,8 @@ class TestModelConfig:
 
     def test_defaults_fill_in(self):
         model = model_from_config({"kind": "bnn", "layer_sizes": [2, 5, 1]})
-        assert model.prior_sigma == 1.0 and not model.learn_noise
+        assert model.noise_sigma == pytest.approx(0.1) and not model.learn_noise
+        assert model.to_config()["prior_sigma"] == 1.0
 
     def test_bad_configs(self):
         with pytest.raises(ValueError, match="unknown model kind 'gp'"):
@@ -154,6 +151,9 @@ class TestModelConfig:
             model_from_config({"kind": "blr", "input_dim": 3})
         with pytest.raises(ValueError, match="missing field 'layer_sizes'"):
             model_from_config({"kind": "bnn"})
+        # every model has a standard-normal prior
+        with pytest.raises(ValueError, match="prior_sigma 2.0"):
+            model_from_config({"kind": "bnn", "layer_sizes": [2, 5, 1], "prior_sigma": 2.0})
 
 
 class TestPredict:
@@ -231,10 +231,8 @@ def _reference_log_joint(model, theta, X, y):
     """The model's log joint written out per theta from scipy densities."""
     if isinstance(model, BLRModel):
         w, b = (theta[:-1], theta[-1]) if model.include_bias else (theta, 0.0)
-        prior = norm.logpdf(w, scale=model.prior_w_sigma).sum()
-        if model.include_bias:
-            prior += norm.logpdf(b, scale=model.prior_b_sigma)
-        return prior + norm.logpdf(y, loc=X @ w + b, scale=model.noise_sigma).sum()
+        return (norm.logpdf(theta).sum()
+                + norm.logpdf(y, loc=X @ w + b, scale=model.noise_sigma).sum())
     sizes = model.layer_sizes
     h, pos = X, 0
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -244,7 +242,7 @@ def _reference_log_joint(model, theta, X, y):
         if i < len(sizes) - 2:
             h = np.maximum(h, 0.0)
     log_sigma = theta[-1] if model.learn_noise else model.noise_log_sigma
-    return (norm.logpdf(theta, scale=model.prior_sigma).sum()
+    return (norm.logpdf(theta).sum()
             + norm.logpdf(y, loc=h[:, 0], scale=math.exp(log_sigma)).sum())
 
 

@@ -12,7 +12,7 @@ from sabvi import optim
 from sabvi import rng as sabrng
 from sabvi import vi
 from sabvi.divergence import DivergenceParams, DomainError, GridDensity, eval_sab
-from sabvi.gradcheck import MC_GRAD_TOL, mc_gradient_suite
+from sabvi.gradcheck import MC_GRAD_TOL, central_differences, mc_gradient_suite
 from sabvi.models import BLRModel, BNNModel, XYData, blr_exact_posterior
 from sabvi.optim import AdamConfig, AdamState, adam_step
 from sabvi.vi import (
@@ -257,7 +257,7 @@ class TestSampleSizeOrdering:
 
 class TestKLPath:
     def test_zero_for_q_equal_prior_and_flat_likelihood(self):
-        model = BLRModel(input_dim=2, include_bias=False, prior_w_sigma=1.0)
+        model = BLRModel(input_dim=2, include_bias=False)
         data = XYData(np.zeros((0, 2)), np.zeros(0))
         q = MeanFieldGaussian(np.zeros(2), np.zeros(2))  # the prior itself
         noise = sabrng.noise_block(8, 0, 0, 64, 2)
@@ -269,14 +269,12 @@ class TestKLPath:
         q = MeanFieldGaussian(np.array([0.3]), np.array([-1.0]))
         noise = sabrng.noise_block(14, 0, 0, 16, 1)
         _, d_mu, d_ls = kl_elbo_with_grad(sample_rows(q, model, data, noise))
-        h = 1e-5
 
-        def value(mu, log_sigma):
-            return kl_elbo_with_grad(
-                sample_rows(MeanFieldGaussian(mu, log_sigma), model, data, noise))[0]
+        def values(points):  # each point is (mu, log sigma)
+            return [kl_elbo_with_grad(sample_rows(MeanFieldGaussian(point[:1], point[1:]),
+                                                  model, data, noise))[0] for point in points]
 
-        fd_mu = (value(q.mu + h, q.log_sigma) - value(q.mu - h, q.log_sigma)) / (2 * h)
-        fd_ls = (value(q.mu, q.log_sigma + h) - value(q.mu, q.log_sigma - h)) / (2 * h)
+        fd_mu, fd_ls = central_differences(values, [q.mu[0], q.log_sigma[0]], 1e-5)
         assert abs(d_mu[0] - fd_mu) / max(1.0, abs(fd_mu)) < 1e-4
         assert abs(d_ls[0] - fd_ls) / max(1.0, abs(fd_ls)) < 1e-4
 
