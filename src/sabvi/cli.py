@@ -27,7 +27,8 @@ import numpy as np
 from . import gradcheck, vi
 from .density_fit import FitObjective, Gaussian1D, fit_gaussian, moment_matched_init
 from .density_spec import SpecError, parse_density_spec, read_json_file, tabulate
-from .divergence import DivergenceParams, DomainError, EvaluationError, classify_region, eval_sab
+from .divergence import (DEFAULT_GRID_POINTS, DivergenceParams, DomainError, EvaluationError,
+                         classify_region, eval_sab)
 from .experiments import (
     CSVFormatError,
     CVRunConfig,
@@ -119,7 +120,7 @@ def cmd_divergence(config: dict) -> int:
 
 
 def _fit_objective(config: dict) -> FitObjective:
-    kind = config["divergence"]
+    kind = config["divergence"]  # one of the option's choices, also in a replayed config
     if kind == "kl":
         return FitObjective.kl()
     if kind == "renyi":
@@ -130,10 +131,8 @@ def _fit_objective(config: dict) -> FitObjective:
         if config.get("beta") is None:
             raise ConfigError("gamma fit needs --beta")
         return FitObjective.gamma(config["beta"])
-    if kind == "sab":
-        params = _resolve_params(config)
-        return FitObjective.sab(params.alpha, params.beta)
-    raise ConfigError(f"unknown fit divergence {kind!r}")
+    params = _resolve_params(config)
+    return FitObjective.sab(params.alpha, params.beta)
 
 
 def cmd_fit_density(config: dict) -> int:
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--p", help="first density spec")
     p.add_argument("--q", help="second density spec")
-    p.add_argument("--grid-points", type=int, default=4001)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
 
     p = sub.add_parser("fit-density", help="fit a Gaussian by divergence descent")
     common(p)
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-log-sigma", type=float)
     p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--grid-points", type=int, default=4001)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient diagnostics")
     common(p)
@@ -428,7 +427,9 @@ def _check_field_types(config: dict, actions) -> None:
     """Each config file field must hold what argparse makes of its option:
     a bool for a flag, a list for a repeated option, else the option's type
     (str if it has none; an int passes for a float, a bool never for an
-    int), and null only where the option's default is None."""
+    int), and null only where the option's default is None.  As on the
+    command line, a value is one of the option's choices, if it has any,
+    and a list holds at least one item unless its option has a default."""
     for action in actions:
         value = config.get(action.dest)
         if action.dest not in config or (value is None and action.default is None):
@@ -441,6 +442,14 @@ def _check_field_types(config: dict, actions) -> None:
             want = f"a list of {kind.__name__}" if many else kind.__name__
             raise ConfigError(f"config file field {action.dest} must be {want}, "
                               f"got {json.dumps(value)}")
+        if many and not items and (action.nargs == "+" or action.default is None):
+            raise ConfigError(f"config file field {action.dest} must hold at least one "
+                              f"item, got []")
+        for v in items:
+            if action.choices is not None and v not in action.choices:
+                raise ConfigError(f"config file field {action.dest} must be one of "
+                                  f"{', '.join(map(json.dumps, action.choices))}, "
+                                  f"got {json.dumps(v)}")
 
 
 _MIN_COUNTS = {

@@ -8,17 +8,18 @@ of the grid measure, which keeps everything in softmax form and immune to
 overflow:
 
     KL(q, p):      sum of w q (log q - log p + 1) g
-    Renyi_a(q, p): a/(a-1) * E[g] under weights ~ w q^a p^(1-a)
+    Renyi_a(q, p): a/(a-1) * E[g] under weights ~ w q^a p^b, b = 1 - a
     sAB(q, p):     ( E[g] under w q^(a+b)  - E[g] under w q^a p^b ) / b
-    gamma_b(q, p): the sAB line at a = 1
+    gamma_b(q, p): the sAB point (1, b)
 
-These weights are the softmaxes of the power terms the divergence value
-is made of, so a fit step is one fused evaluation (`FitEvaluator`) that
-exponentiates each term once for both.  `divergence_value` goes through
-the divergence module's `eval_*` functions instead and stays the
-independent reference: its central differences,
-`gradcheck.finite_diff_gradient`, are the test oracle for all four
-gradients, and the tests check the fused value against it.
+Every objective but KL is thus an sAB point (a, b), and `classify_region`
+refuses the ones on a limit surface.  These weights are the softmaxes of
+the power terms the divergence value is made of, so a fit step is one
+fused evaluation (`FitEvaluator`) that exponentiates each term once for
+both.  `divergence_value` goes through the divergence module's `eval_*`
+functions instead and stays the independent reference: its central
+differences, `gradcheck.finite_diff_gradient`, are the test oracle for
+all four gradients, and the tests check the fused value against it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .divergence import (
     DEFAULT_GRID_POINTS,
+    DEFAULT_GRID_SPAN,
     LOG_FLOOR,
     DivergenceParams,
     DomainError,
@@ -174,7 +176,7 @@ class SkewMixtureTarget:
         m = comps.max(axis=0)
         return m + np.log(np.sum(np.exp(comps - m), axis=0))
 
-    def grid_range(self, span: float = 10.0) -> tuple[float, float]:
+    def grid_range(self, span: float = DEFAULT_GRID_SPAN) -> tuple[float, float]:
         smax = max(c.scale for c in self.components)
         lo = min(c.location for c in self.components) - span * smax
         hi = max(c.location for c in self.components) + span * smax
@@ -183,7 +185,8 @@ class SkewMixtureTarget:
     def min_scale(self) -> float:
         return min(c.scale for c in self.components)
 
-    def tabulate(self, n: int = DEFAULT_GRID_POINTS, span: float = 10.0) -> GridDensity:
+    def tabulate(self, n: int = DEFAULT_GRID_POINTS,
+                 span: float = DEFAULT_GRID_SPAN) -> GridDensity:
         lo, hi = self.grid_range(span)
         return GridDensity.from_callable(self.log_pdf, lo, hi, n)
 
@@ -217,27 +220,23 @@ def moment_matched_init(target: GridDensity) -> Gaussian1D:
 
 @dataclass(frozen=True)
 class FitObjective:
-    """Which divergence the fit minimizes, with its order parameters."""
+    """Which divergence the fit minimizes.  Every kind but KL is a point
+    (alpha, beta) of the sAB plane, renyi(a) at (a, 1 - a) and gamma(b) at
+    (1, b), and `classify_region` refuses one on a limit surface."""
 
     kind: str  # "kl" | "renyi" | "gamma" | "sab"
-    alpha: float | None = None  # gamma(b) is the sAB point (1, b), so alpha = 1
+    alpha: float | None = None
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind == "sab":
-            if classify_region(DivergenceParams(self.alpha, self.beta)) is not Region.GENERIC:
-                raise DomainError(
-                    "sab fit objective needs generic-region parameters; use the "
-                    "dedicated kl/renyi/gamma objectives on the limit surfaces")
-        elif self.kind == "renyi":
-            if not math.isfinite(self.alpha) or self.alpha in (0.0, 1.0):
-                raise DomainError(f"Renyi order must be finite and avoid {{0, 1}}, got {self.alpha}")
-        elif self.kind == "gamma":
-            if not math.isfinite(self.beta) or self.beta in (0.0, -1.0):
-                raise DomainError(f"gamma order must be finite and avoid {{0, -1}}, got {self.beta}")
-            object.__setattr__(self, "alpha", 1.0)
-        elif self.kind != "kl":
+        if self.kind not in ("kl", "renyi", "gamma", "sab"):
             raise ValueError(f"unknown fit objective kind {self.kind!r}")
+        if self.kind != "kl":
+            region = classify_region(DivergenceParams(self.alpha, self.beta))
+            if region is not Region.GENERIC:
+                raise DomainError(f"fit objective {self.label()} = sAB({self.alpha}, "
+                                  f"{self.beta}) lies on the limit surface {region.value}; "
+                                  f"a fit needs alpha, beta and alpha + beta nonzero")
 
     @classmethod
     def kl(cls):
@@ -245,15 +244,15 @@ class FitObjective:
 
     @classmethod
     def renyi(cls, alpha: float):
-        return cls("renyi", alpha=alpha)
+        return cls("renyi", alpha, 1.0 - alpha)
 
     @classmethod
     def gamma(cls, beta: float):
-        return cls("gamma", beta=beta)
+        return cls("gamma", 1.0, beta)
 
     @classmethod
     def sab(cls, alpha: float, beta: float):
-        return cls("sab", alpha=alpha, beta=beta)
+        return cls("sab", alpha, beta)
 
     def label(self) -> str:
         if self.kind == "kl":
@@ -299,8 +298,8 @@ class FitEvaluator:
 
     Built once per fit: keeps the grid, the target's log values and the
     quadrature weights and, for the Renyi and sAB branches, the rows that
-    q's powers are added to (log weights plus the target's power: b lp
-    in the cross term, (1 - a) lp for Renyi), the target's floored nodes
+    q's powers are added to (log weights plus the target's power b lp in
+    the cross term, where Renyi's b is 1 - a), the target's floored nodes
     where that power is negative, and the target-only sAB power term
     log I(p^(a+b)) or the error it raises, which each call raises after
     checking q's own power term, in `eval_sab`'s order.  Gamma fits take
@@ -325,9 +324,8 @@ class FitEvaluator:
         if kind == "kl":
             return
         log_w = measure.log_weights
-        c_p = b if sab else 1.0 - a  # the target's power in the cross term
-        cross = log_w + c_p * self.lp
-        cross_floored = p.floored if c_p < 0 else None
+        cross = log_w + b * self.lp
+        cross_floored = p.floored if b < 0 else None
         if sab:  # rows q^(a+b) and q^a p^b
             self.q_powers, self.target_rows = (a + b, a), np.stack((log_w, cross))
             self.terms = ("first-density power term", "cross term")

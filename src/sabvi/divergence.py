@@ -31,6 +31,10 @@ node alone makes at least 1, so the log integral is unchanged bit for
 bit; only such subnormal softmax weights become 0.  On the grid, tails
 of narrow or high-power terms are hundreds of nats down, and `exp` is
 many times slower on them than on normal inputs.
+
+The Gaussian ground truth is one closed form, `gaussian_power_log_integral`;
+`gaussian_oracle` weights it into the KL and Renyi values, and the tests
+weight it into other sAB points, such as (0.5, 0.5) and (2, -1).
 """
 
 from __future__ import annotations
@@ -441,33 +445,15 @@ def gaussian_kl(mu1: float, s1: float, mu2: float, s2: float) -> float:
             + (s1 * s1 + (mu1 - mu2) ** 2) / (2.0 * s2 * s2) - 0.5)
 
 
-def gaussian_renyi(alpha: float, mu1: float, s1: float, mu2: float, s2: float) -> float:
-    if alpha in (0.0, 1.0):
-        raise DomainError("Renyi order must avoid {0, 1}")
-    return gaussian_power_log_integral(alpha, mu1, s1, mu2, s2) / (alpha - 1.0)
-
-
 def gaussian_oracle(kind: str, mu1: float, s1: float, mu2: float, s2: float,
                     order: float | None = None) -> float:
-    """Closed-form Gaussian values used as acceptance ground truth.
-
-    kinds: "kl", "renyi" (needs order), "hellinger" (the (0.5, 0.5)
-    family value -4 log of the affinity), "chisq" (the (2, -1) family
-    value, half the log of the p^2/q integral) and "power_integral"
-    (needs order; returns the integral itself, not its log).
-    """
+    """Closed-form Gaussian values used as acceptance ground truth: "kl", and
+    "renyi" of an order outside {0, 1}.  Other sAB points are their power
+    integrals, `gaussian_power_log_integral`, weighted as in `sab_value`."""
     if kind == "kl":
         return gaussian_kl(mu1, s1, mu2, s2)
     if kind == "renyi":
-        if order is None:
-            raise DomainError("renyi oracle needs an order")
-        return gaussian_renyi(order, mu1, s1, mu2, s2)
-    if kind == "hellinger":
-        return -4.0 * gaussian_power_log_integral(0.5, mu1, s1, mu2, s2)
-    if kind == "chisq":
-        return 0.5 * gaussian_power_log_integral(2.0, mu1, s1, mu2, s2)
-    if kind == "power_integral":
-        if order is None:
-            raise DomainError("power_integral oracle needs an order")
-        return math.exp(gaussian_power_log_integral(order, mu1, s1, mu2, s2))
+        if order is None or order in (0.0, 1.0):
+            raise DomainError(f"renyi oracle needs an order outside {{0, 1}}, got {order}")
+        return gaussian_power_log_integral(order, mu1, s1, mu2, s2) / (order - 1.0)
     raise DomainError(f"unknown oracle kind {kind!r}")

@@ -26,7 +26,8 @@ from .density_fit import (
     analytic_gradient,
     divergence_value,
 )
-from .divergence import DivergenceParams, EvaluationError, GridDensity
+from .divergence import (DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, DivergenceParams,
+                         EvaluationError, GridDensity)
 from .models import BLRModel, BNNModel, XYData
 from .vi import MeanFieldGaussian, mc_objective_with_grad, sample_rows
 
@@ -100,35 +101,22 @@ def _random_target(g) -> tuple[float, float, object]:
 
 
 def _random_objective(g, s_q: float, s_p: float) -> FitObjective:
-    """Draw an objective whose defining integrals converge for these scales."""
-    prec_q, prec_p = s_q**-2, s_p**-2
+    """Draw an objective whose defining integrals converge for these scales:
+    KL, or an sAB point (a, b) with |a|, |b| >= 0.1, a + b > 0.1 (so the
+    q^(a+b) tail decays) and combined precision a / s_q^2 + b / s_p^2 above 0.05."""
     while True:
         pick = g.integers(4)
         if pick == 0:
             return FitObjective.kl()
         if pick == 1:
-            a = g.uniform(-1.0, 2.5)
-            if min(abs(a), abs(a - 1.0)) < 0.1:
-                continue
-            if a * prec_q + (1.0 - a) * prec_p <= 0.05:
-                continue
-            return FitObjective.renyi(a)
-        if pick == 2:
-            b = g.uniform(-0.8, 2.0)
-            if abs(b) < 0.1:
-                continue
-            if prec_q + b * prec_p <= 0.05:
-                continue
-            return FitObjective.gamma(b)
-        a = g.uniform(-2.0, 3.0)
-        b = g.uniform(-2.0, 3.0)
-        if min(abs(a), abs(b), abs(a + b)) < 0.1:
-            continue
-        if a + b <= 0.1:  # q^(a+b) tail must decay
-            continue
-        if a * prec_q + b * prec_p <= 0.05:
-            continue
-        return FitObjective.sab(a, b)
+            objective = FitObjective.renyi(g.uniform(-1.0, 2.5))
+        elif pick == 2:
+            objective = FitObjective.gamma(g.uniform(-0.8, 2.0))
+        else:
+            objective = FitObjective.sab(g.uniform(-2.0, 3.0), g.uniform(-2.0, 3.0))
+        a, b = objective.alpha, objective.beta
+        if min(abs(a), abs(b)) >= 0.1 and a + b > 0.1 and a * s_q**-2 + b * s_p**-2 > 0.05:
+            return objective
 
 
 def density_fit_gradient_suite(n_cases: int = 50, seed: int = 0, h: float = 1e-5,
@@ -140,9 +128,9 @@ def density_fit_gradient_suite(n_cases: int = 50, seed: int = 0, h: float = 1e-5
             center, spread, make = _random_target(g)
             q = Gaussian1D(center + g.uniform(-1.0, 1.0),
                            float(np.log(g.uniform(0.6, 1.8))))
-            lo = min(center, q.mu) - 10.0 * max(spread, q.sigma)
-            hi = max(center, q.mu) + 10.0 * max(spread, q.sigma)
-            p = make(lo, hi, 4001)
+            lo = min(center, q.mu) - DEFAULT_GRID_SPAN * max(spread, q.sigma)
+            hi = max(center, q.mu) + DEFAULT_GRID_SPAN * max(spread, q.sigma)
+            p = make(lo, hi, DEFAULT_GRID_POINTS)
             objective = _random_objective(g, q.sigma, spread)
             try:
                 analytic = analytic_gradient(objective, q, p) + perturb

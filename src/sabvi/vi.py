@@ -215,7 +215,7 @@ _MAX_BAD_STEPS = 10
 class TrainReport:
     alpha: float
     beta: float
-    final: MeanFieldGaussian
+    final: MeanFieldGaussian | None  # None if the last q is not a finite Gaussian
     trace: np.ndarray = field(repr=False)
     stream: int
     mc_config: MCConfig
@@ -295,7 +295,8 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
     `gave_up` holds the steps it ran, 0 for a cell still live.  After the
     last step each cell's TrainReport is built once from its first `ran`
     steps, with `diverged` set to the message `train` raises if the cell
-    gave up or took none of at least one step.  The reports equal C
+    gave up, took none of at least one step, or ended at a q whose mu, log
+    sigma or sigma is not finite (its `final` is None).  The reports equal C
     separate trainings bit for bit when a row's log joint does not depend
     on the other rows of its batch, as for both models.  A cell that is
     not `trainable` at mc.n_samples raises DomainError before any step.
@@ -347,16 +348,24 @@ def train_batch(cells: list[DivergenceParams], q0: MeanFieldGaussian, model, dat
             live = np.flatnonzero(gave_up == 0)
         adam_step(state, grads, opt, took[:, step])
 
+    with np.errstate(over="ignore"):  # sigma is inf past log sigma = log(max float)
+        finite = np.isfinite(np.hstack([state.params, np.exp(state.params[:, d:])]))
+    finite = finite.reshape(n_cells, 3, d).all(axis=2)  # mu, log sigma, sigma
     reports = []
     for c, params in enumerate(cells):
         ran = int(gave_up[c]) or opt.steps
-        why = (f"for {_MAX_BAD_STEPS} consecutive steps" if gave_up[c] else
-               f"at all {opt.steps} steps" if opt.steps and not took[c].any() else None)
+        unbounded = [name for name, ok in zip(("mu", "log sigma", "sigma"), finite[c]) if not ok]
+        why = (f"objective non-finite for {_MAX_BAD_STEPS} consecutive steps" if gave_up[c] else
+               f"objective non-finite at all {opt.steps} steps"
+               if opt.steps and not took[c].any() else
+               f"q's {' and '.join(unbounded)} not finite after the last step"
+               if unbounded else None)
         reports.append(TrainReport(
             alpha=params.alpha, beta=params.beta,
-            final=MeanFieldGaussian(state.params[c, :d], state.params[c, d:]),
+            final=None if unbounded else
+            MeanFieldGaussian(state.params[c, :d], state.params[c, d:]),
             trace=traces[c, :ran].copy(), stream=streams[c], mc_config=mc, adam_config=opt,
             init=q0, skipped_steps=ran - int(took[c, :ran].sum()),
             diverged=None if why is None else
-            f"objective non-finite {why} at (alpha={params.alpha}, beta={params.beta})"))
+            f"{why} at (alpha={params.alpha}, beta={params.beta})"))
     return reports

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabvi import experiments, vi
+from sabvi import divergence, experiments, vi
 from sabvi.divergence import DivergenceParams
 from sabvi.experiments import CVRunConfig, GridSearchSpec, corrupt, gen_nonlinear, normalize
 from sabvi.models import BNNModel, XYData
@@ -81,3 +81,19 @@ def test_batched_toy_run_counts_one_estimator_call_per_setting_seed_step(bench):
         lambda s: experiments.run_toy_experiment(s, seeds, cfg), settings)
     assert [len(row["per_seed"]) for row in result["rows"]] == [2, 2, 2]
     assert calls == len(settings) * len(seeds) * steps
+
+
+def test_quadrature_sweep_references_are_finite_oracle_values(monkeypatch):
+    # the sweep's references are the Gaussian oracle's "kl" and "renyi" kinds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    oracle, kinds = divergence.gaussian_oracle, set()
+
+    def recording_oracle(kind, *args, **kwargs):
+        kinds.add(kind)
+        return oracle(kind, *args, **kwargs)
+
+    monkeypatch.setattr(divergence, "gaussian_oracle", recording_oracle)
+    sweep = workloads.quadrature_setup(7).sweep
+    assert len(sweep) == 112 and kinds == {"kl", "renyi"}
+    assert all(np.isfinite(reference) for *_, reference in sweep)

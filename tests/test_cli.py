@@ -469,6 +469,26 @@ class TestArgumentErrors:
         assert run_cli("toy", "--config", path) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,field,message", [
+        ("gradcheck", {"only": ["nope"]},
+         'config file field only must be one of "density-fit", "mc", "models", got "nope"'),
+        ("gradcheck", {"only": []}, "config file field only must hold at least one item"),
+        ("uci", {"hidden": []}, "config file field hidden must hold at least one item"),
+        ("fit-density", {"divergence": "hellinger"},
+         'config file field divergence must be one of "sab", "kl", "renyi", "gamma", '
+         'got "hellinger"'),
+    ])
+    def test_replayed_config_keeps_choices_and_one_or_more(self, tmp_path, capsys, command,
+                                                          field, message):
+        out = tmp_path / "run"
+        args = cli.build_parser().parse_args([command, "--out", str(out)])
+        config = {k: v for k, v in vars(args).items() if k != "config"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **field}))
+        assert run_cli(command, "--config", path) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_missing_one_field_names_it(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("toy", "--settings", "1.0,0.0", "--seeds", 1, "--train-size", 20,
@@ -634,6 +654,26 @@ class TestTrainingDivergedWritesError:
         assert "numerical error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["toy", "uci"])
+    def test_a_q_past_the_float_range_is_a_numerical_error(self, tmp_path, capsys, command):
+        # a first step of lr 1e300 sends some log sigma to about 1e300, where
+        # sigma is inf, and the runs end before the cell gives up
+        path = tmp_path / "data.csv"
+        save_csv(gen_nonlinear(40, 3, seed=1), path)
+        args, message = {
+            "toy": (["toy", "--settings", "1.8,0.8", "--seeds", 1, "--steps", 3,
+                     "--train-size", 20, "--test-size", 5],
+                    "q's sigma not finite after the last step at (alpha=1.0, beta=0.8)"),
+            "uci": (["uci", "--csv", path, "--k1", 2, "--k2", 2, "--steps", 2,
+                     "--grid-step", 1.5], "no trainable cell in outer fold 0"),
+        }[command]
+        out = tmp_path / "run"
+        assert run_cli(*args, "--learning-rate", 1e300, "--out", out) == 3
+        assert message in read_json(out / "error.json")["error"]
+        assert "numerical error" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["config.json", "error.json"]
+
+
 TOY_RUN = ["toy", "--settings", "1.0,0.0", "--seeds", 1, "--train-size", 20,
            "--test-size", 20, "--dim", 2, "--steps", 2, "--mc-samples", 2]
 
@@ -656,7 +696,7 @@ class TestRefusedRunWritesNothing:
                                 "renyi fit needs --alpha"),
         "sab-on-a-limit": (lambda paths: ["fit-density", "--divergence", "sab",
                                           "--alpha", 1, "--beta", 0],
-                           "sab fit objective needs generic-region parameters"),
+                           "sab(1.0,0.0) = sAB(1.0, 0.0) lies on the limit surface BetaZero"),
         "grids-differ": (lambda paths: ["divergence", "--alpha", 1.1, "--beta", 0.4,
                                         "--p", _grid_spec(201), "--q", _grid_spec(101)],
                          "grid-kind densities carry their own grid"),

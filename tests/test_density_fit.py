@@ -167,19 +167,25 @@ class TestGradients:
         g_near = analytic_gradient(FitObjective.sab(1.0 + 1e-6, 1e-6), q, p)
         np.testing.assert_allclose(g_near, g_kl, atol=1e-6)
 
-    def test_sab_rejects_limit_parameters(self):
-        with pytest.raises(DomainError):
-            FitObjective.sab(1.0, 0.0)
-        with pytest.raises(DomainError):
-            FitObjective.sab(0.5, -0.5)
+    @pytest.mark.parametrize("kind,orders,surface", [
+        ("renyi", (0.0,), "AlphaZero"), ("renyi", (1.0,), "BetaZero"),
+        ("gamma", (0.0,), "BetaZero"), ("gamma", (-1.0,), "SumZero"),
+        ("sab", (0.0, 0.7), "AlphaZero"), ("sab", (1.0, 0.0), "BetaZero"),
+        ("sab", (0.5, -0.5), "SumZero"), ("sab", (0.0, 0.0), "BothZero"),
+        ("renyi", (math.nan,), "must be finite"), ("gamma", (math.inf,), "must be finite"),
+    ])
+    def test_one_region_rule_refuses_the_limit_surfaces(self, kind, orders, surface):
+        with pytest.raises(DomainError, match=surface) as info:
+            getattr(FitObjective, kind)(*orders)
+        if surface.endswith("Zero"):
+            label = f"{kind}({','.join(map(str, orders))})"
+            assert f"fit objective {label} = sAB(" in str(info.value)
 
-    @pytest.mark.parametrize("build", [
-        lambda: FitObjective.renyi(0.0), lambda: FitObjective.renyi(1.0),
-        lambda: FitObjective.renyi(math.nan), lambda: FitObjective.gamma(0.0),
-        lambda: FitObjective.gamma(-1.0), lambda: FitObjective.gamma(math.inf)])
-    def test_renyi_and_gamma_reject_excluded_orders(self, build):
-        with pytest.raises(DomainError):
-            build()
+    @pytest.mark.parametrize("a", [0.3, -0.7, 1.5, 0.1 + 0.2, 1e-300])
+    def test_renyi_stores_its_sab_point(self, a):
+        objective = FitObjective.renyi(a)
+        assert objective.alpha == a and objective.beta == 1.0 - a
+        assert FitObjective.gamma(a).alpha == 1.0
 
 
 _ORDER = st.one_of(st.floats(0.2, 2.5), st.floats(-2.5, -0.2))

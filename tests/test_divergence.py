@@ -118,10 +118,11 @@ class TestClosedFormAgreement:
         p, q = gaussian_pair(-0.3, 0.8, 0.9, 1.3)
         assert eval_sab(DivergenceParams(1.0, 0.0), p, q) == pytest.approx(
             gaussian_oracle("kl", -0.3, 0.8, 0.9, 1.3), rel=1e-4)
+        # (0.5, 0.5): -4 log of the affinity; (2, -1): half the log of the p^2/q integral
         assert eval_sab(DivergenceParams(0.5, 0.5), p, q) == pytest.approx(
-            gaussian_oracle("hellinger", -0.3, 0.8, 0.9, 1.3), rel=1e-4)
+            -4.0 * gaussian_power_log_integral(0.5, -0.3, 0.8, 0.9, 1.3), rel=1e-4)
         assert eval_sab(DivergenceParams(2.0, -1.0), p, q) == pytest.approx(
-            gaussian_oracle("chisq", -0.3, 0.8, 0.9, 1.3), rel=1e-4)
+            0.5 * gaussian_power_log_integral(2.0, -0.3, 0.8, 0.9, 1.3), rel=1e-4)
 
 
 class TestNamedDivergences:
@@ -160,7 +161,7 @@ class TestGaussianOracle:
             math.log(1.4 / 0.7) + (0.49 + 0.25) / (2 * 1.96) - 0.5)
 
     def test_power_integral_bhattacharyya(self):
-        assert gaussian_oracle("power_integral", 0, 1, 1, 1, order=0.5) == pytest.approx(
+        assert math.exp(gaussian_power_log_integral(0.5, 0, 1, 1, 1)) == pytest.approx(
             math.exp(-1.0 / 8.0))
 
     def test_power_integral_against_quadrature(self):
@@ -179,6 +180,11 @@ class TestGaussianOracle:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             gaussian_oracle("nope", 0, 1, 1, 1)
+
+    @pytest.mark.parametrize("order", [None, 0.0, 1.0])
+    def test_renyi_needs_an_order_outside_zero_and_one(self, order):
+        with pytest.raises(DomainError, match="order outside"):
+            gaussian_oracle("renyi", 0, 1, 1, 1, order=order)
 
 
 @st.composite

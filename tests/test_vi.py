@@ -539,6 +539,18 @@ class TestTrainBatch:
         assert (skipping.trace.size, skipping.skipped_steps, skipping.diverged) == (40, 20, None)
         assert (clean.trace.size, clean.skipped_steps, clean.diverged) == (40, 0, None)
 
+    @pytest.mark.parametrize("params", [DivergenceParams(1.0, 0.0), DivergenceParams(1.2, 0.4)])
+    def test_a_last_step_past_the_float_range_diverges(self, params):
+        # q0 is narrower than the N(0, 1) joint, so a first step of lr 1e300
+        # sends log sigma to about 1e300, where sigma is inf; the second step
+        # is skipped, too few to give up, and the last q is not finite
+        (report,) = train_batch([params], MeanFieldGaussian.initial(1), GaussianJointModel(0, 1),
+                                None, MCConfig(4, 0),
+                                AdamConfig(learning_rate=1e300, steps=2), [0])
+        assert report.diverged == ("q's sigma not finite after the last step at "
+                                   f"(alpha={params.alpha}, beta={params.beta})")
+        assert report.final is None and report.skipped_steps == 1
+
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.sampled_from(CELL_POOL), min_size=1, max_size=4),
            layer_sizes=st.sampled_from([(2, 3, 1), (2, 4, 3, 1), None]),
