@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gradcheck, vi
 from .density_fit import FitObjective, Gaussian1D, fit_gaussian, moment_matched_init
-from .density_spec import SpecError, parse_density_spec, read_json_file, tabulate
+from .density_spec import SpecError, check_start, parse_density_spec, read_json_file, tabulate
 from .divergence import (DEFAULT_GRID_POINTS, DivergenceParams, DomainError, EvaluationError,
                          classify_region, eval_sab)
 from .experiments import (
@@ -154,6 +154,10 @@ def cmd_fit_density(config: dict) -> int:
     if config.get("init_mu") is not None:
         log_sigma = config.get("init_log_sigma")
         init = Gaussian1D(config["init_mu"], 0.0 if log_sigma is None else log_sigma)
+        try:
+            check_start(target, init.mu, init.log_sigma)
+        except SpecError as exc:
+            raise ConfigError(f"--init-mu/--init-log-sigma: {exc}") from exc
     else:
         try:
             init = moment_matched_init(target)

@@ -1,8 +1,8 @@
 """Fit a single Gaussian to a fixed 1-D target by divergence descent.
 
-The target is tabulated once on a wide grid; the Gaussian is optimized in
-(mu, log sigma) with ADAM using closed-form gradients of the quadrature
-objective.  Writing q for the Gaussian and g = d log q / d phi, each
+The target is a `GridDensity`, tabulated once on a wide grid; the Gaussian
+is optimized in (mu, log sigma) with ADAM using closed-form gradients of the
+quadrature objective.  Writing q for the Gaussian and g = d log q / d phi, each
 gradient is a difference of expectations of g under power-tilted versions
 of the grid measure, which keeps everything in softmax form and immune to
 overflow:
@@ -37,7 +37,6 @@ from .divergence import (
     DomainError,
     EvaluationError,
     GridDensity,
-    QuadratureMeasure,
     Region,
     classify_region,
     eval_gamma,
@@ -195,7 +194,7 @@ def density_moments(density: GridDensity) -> tuple[float, float]:
     """Quadrature mean and stddev of a tabulated (normalized) density."""
     x = density.x
     pdf = np.exp(density.log_values)
-    w = QuadratureMeasure.trapezoid(density, normalized=False).weights
+    w = density.weights
     mass = float(np.dot(w, pdf))
     mean = float(np.dot(w, pdf * x)) / mass
     var = float(np.dot(w, pdf * (x - mean) ** 2)) / mass
@@ -318,12 +317,11 @@ class FitEvaluator:
         self.lp = p.log_values
         self.x = p.x
         sab = kind not in ("kl", "renyi")
-        measure = QuadratureMeasure.trapezoid(p, normalized=sab)
-        self.w = measure.weights
+        self.w = p.reference_weights if sab else p.weights
         self.target_error = None
         if kind == "kl":
             return
-        log_w = measure.log_weights
+        log_w = np.log(self.w)
         cross = log_w + b * self.lp
         cross_floored = p.floored if b < 0 else None
         if sab:  # rows q^(a+b) and q^a p^b
@@ -408,11 +406,12 @@ class FitResult:
                 "final_divergence": float(self.divergence_trace[-1])}
 
 
-def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None,
-                 opt: AdamConfig | None = None, max_iters: int = 5000) -> FitResult:
-    """Minimize the objective over (mu, log sigma) with ADAM.
+def fit_gaussian(objective: FitObjective, target: GridDensity,
+                 init: Gaussian1D | None = None, opt: AdamConfig | None = None,
+                 max_iters: int = 5000) -> FitResult:
+    """Minimize the objective over (mu, log sigma) with ADAM against the
+    tabulated target, from init (by default `moment_matched_init`).
 
-    `target` is a SkewMixtureTarget (put on its default grid) or a GridDensity.
     Converges when the gradient sup-norm drops below GRADIENT_TOL.  An
     evaluation error mid-run aborts and re-raises with the partial result
     attached as ``exc.partial_result``.  An iterate that leaves the float
@@ -422,13 +421,12 @@ def fit_gaussian(objective: FitObjective, target, init: Gaussian1D | None = None
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    p = target.tabulate() if isinstance(target, SkewMixtureTarget) else target
     if init is None:
-        init = moment_matched_init(p)
+        init = moment_matched_init(target)
     if opt is None:
         opt = AdamConfig()
 
-    evaluator = FitEvaluator(objective, p)
+    evaluator = FitEvaluator(objective, target)
     state = AdamState.init(np.array([init.mu, init.log_sigma]))
     trace = []
     converged = False

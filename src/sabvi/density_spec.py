@@ -18,7 +18,8 @@ path prefixed with ``@``, or an inline JSON object.
 A spec parses to a `SkewMixtureTarget`, a `GaussianSpec` (both have
 ``grid_range(span)``, ``min_scale()`` and ``log_pdf(x)``, so they go on
 any fine enough grid) or a `GridDensity`, validated here once, which
-carries its own grid.  `tabulate` puts specs on one shared grid.
+carries its own grid.  `tabulate` puts specs on one shared grid, and
+`check_start` applies its resolution rule to a fit's Gaussian start.
 """
 
 from __future__ import annotations
@@ -151,3 +152,16 @@ def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
                         f"density scale {finest:.6g}, which it cannot resolve")
     return [spec if isinstance(spec, GridDensity)
             else GridDensity.from_callable(spec.log_pdf, lo, hi, n) for spec in specs]
+
+
+def check_start(grid: GridDensity, mu: float, log_sigma: float) -> None:
+    """Refuse a Gaussian start off the grid, or whose sigma is below its spacing
+    (`tabulate`'s rule) or above its width; sigma is compared in log space."""
+    if not grid.lo <= mu <= grid.hi:
+        raise SpecError(f"the start's mu {mu!r} lies outside the grid [{grid.lo!r}, {grid.hi!r}]")
+    spacing, width = grid.spacing, grid.hi - grid.lo
+    if spacing > 0 and log_sigma < math.log(spacing):  # a subnormal width's spacing can be 0
+        raise SpecError(f"the start's sigma exp({log_sigma!r}) is below the grid's spacing "
+                        f"{spacing:.6g}, which cannot resolve it")
+    if log_sigma > math.log(width):
+        raise SpecError(f"the start's sigma exp({log_sigma!r}) exceeds the grid's width {width:.6g}")

@@ -1,10 +1,10 @@
 """Scale-invariant alpha-beta (sAB) divergence on tabulated 1-D densities.
 
-Densities live in log space on a uniform grid and all integrals are
-quadrature sums against a normalized reference measure (trapezoid weights
-rescaled to sum to one).  The normalized measure is what makes the limit
-formulas below finite; by scale invariance it leaves the generic-region
-value unchanged.
+Densities live in log space on a uniform grid, and all sAB integrals are
+quadrature sums against a `GridDensity`'s ``reference_weights``: its
+trapezoid ``weights`` rescaled to sum to one.  The normalized measure is
+what makes the limit formulas below finite; by scale invariance it leaves
+the generic-region value unchanged.
 
 The two-parameter family is
 
@@ -161,6 +161,21 @@ class GridDensity:
     def floored(self) -> np.ndarray:
         return self.log_values <= LOG_FLOOR
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights, the Lebesgue measure on [lo, hi]; made per access."""
+        w = np.full(self.n, self.spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
+    @property
+    def reference_weights(self) -> np.ndarray:
+        """The trapezoid weights divided by their sum: the sAB reference measure."""
+        w = self.weights
+        w /= w.sum()
+        return w
+
     def same_grid(self, other: "GridDensity") -> bool:
         return self.lo == other.lo and self.hi == other.hi and self.n == other.n
 
@@ -179,39 +194,6 @@ class GridDensity:
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         return cls.from_callable(lambda x: gaussian_log_pdf(x, mu, sigma), lo, hi, n)
-
-
-@dataclass(frozen=True)
-class QuadratureMeasure:
-    """Nonnegative quadrature weights; the default reference measure sums to 1."""
-
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be a finite nonnegative 1-D vector")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.where(self.weights > 0, np.log(self.weights), -np.inf)
-
-    def scaled(self, c: float) -> "QuadratureMeasure":
-        if c <= 0:
-            raise ValueError("scale must be positive")
-        return QuadratureMeasure(self.weights * c)
-
-    @classmethod
-    def trapezoid(cls, grid: GridDensity, normalized: bool = True) -> "QuadratureMeasure":
-        w = np.full(grid.n, grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        if normalized:
-            w /= w.sum()
-        return cls(w)
 
 
 def gaussian_log_pdf(x, mu: float, sigma: float):
@@ -326,11 +308,12 @@ def _log_values(p: GridDensity, q: GridDensity) -> tuple[np.ndarray, np.ndarray]
 
 
 def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
-             measure: QuadratureMeasure | None = None) -> float:
+             weights: np.ndarray | None = None) -> float:
     """D[alpha,beta](p, q) on the shared grid, any region of the plane.
 
-    The limit-region formulas are the analytic continuations of the
-    generic expression under the normalized reference measure:
+    The integrals are against ``weights``, by default p's reference
+    weights.  The limit-region formulas are the analytic continuations of
+    the generic expression under that normalized reference measure:
 
     * a + b = 0:   ( log I((p/q)^a) - a I(log p/q) ) / a^2
     * b = 0:       ( log I(q^a) - log I(p^a) ) / a^2
@@ -340,10 +323,9 @@ def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
                    measure
     """
     lp, lq = _log_values(p, q)
-    if measure is None:
-        measure = QuadratureMeasure.trapezoid(p)
-    log_w = measure.log_weights
-    w = measure.weights
+    w = p.reference_weights if weights is None else weights
+    with np.errstate(divide="ignore"):  # a zero weight is a node outside the measure
+        log_w = np.log(w)
     a, b = params.alpha, params.beta
     lam = params.lam
     region = classify_region(params)
@@ -376,20 +358,16 @@ def eval_sab(params: DivergenceParams, p: GridDensity, q: GridDensity,
 # named special-case divergences (independent quadrature implementations)
 # ---------------------------------------------------------------------------
 #
-# These integrate against plain (unnormalized) trapezoid weights, i.e. the
-# Lebesgue measure on the grid interval, and are deliberately not routed
-# through eval_sab so the reduction identities are genuine cross-checks.
-
-
-def _dx_log_weights(p: GridDensity) -> np.ndarray:
-    return QuadratureMeasure.trapezoid(p, normalized=False).log_weights
+# These integrate against plain (unnormalized) trapezoid weights,
+# `GridDensity.weights`, i.e. the Lebesgue measure on the grid interval, and
+# are deliberately not routed through eval_sab so the reduction identities
+# are genuine cross-checks.
 
 
 def eval_kl(p: GridDensity, q: GridDensity) -> float:
     """KL(p || q) = integral of p log(p/q)."""
     lp, lq = _log_values(p, q)
-    w = QuadratureMeasure.trapezoid(p, normalized=False).weights
-    return float(np.dot(w, np.exp(lp) * (lp - lq)))
+    return float(np.dot(p.weights, np.exp(lp) * (lp - lq)))
 
 
 def eval_renyi(alpha: float, p: GridDensity, q: GridDensity) -> float:
@@ -397,7 +375,7 @@ def eval_renyi(alpha: float, p: GridDensity, q: GridDensity) -> float:
     if alpha in (0.0, 1.0):
         raise DomainError("Renyi order must avoid {0, 1}")
     lp, lq = _log_values(p, q)
-    t = _power_lse(alpha, 1.0 - alpha, lp, lq, _dx_log_weights(p), "Renyi cross term")[0]
+    t = _power_lse(alpha, 1.0 - alpha, lp, lq, np.log(p.weights), "Renyi cross term")[0]
     return t / (alpha - 1.0)
 
 
@@ -406,7 +384,7 @@ def eval_gamma(beta: float, p: GridDensity, q: GridDensity) -> float:
     if beta in (0.0, -1.0):
         raise DomainError("gamma order must avoid {0, -1}")
     lp, lq = _log_values(p, q)
-    log_w = _dx_log_weights(p)
+    log_w = np.log(p.weights)
     t_p = _power_lse(beta + 1.0, 0.0, lp, lq, log_w, "gamma p-power term")[0]
     t_q = _power_lse(0.0, beta + 1.0, lp, lq, log_w, "gamma q-power term")[0]
     t_c = _power_lse(1.0, beta, lp, lq, log_w, "gamma cross term")[0]

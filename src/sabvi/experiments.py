@@ -374,8 +374,7 @@ class CVRunConfig:
 
     def build_model(self, input_dim: int) -> BNNModel:
         return BNNModel(layer_sizes=(input_dim, *self.hidden, 1),
-                        noise_log_sigma=math.log(self.noise_sigma),
-                        learn_noise=self.learn_noise)
+                        noise_sigma=self.noise_sigma, learn_noise=self.learn_noise)
 
 
 @dataclass

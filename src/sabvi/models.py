@@ -164,7 +164,7 @@ class BNNModel:
     """
 
     layer_sizes: tuple[int, ...]
-    noise_log_sigma: float = math.log(0.1)
+    noise_sigma: float = 0.1
     learn_noise: bool = False
 
     def __post_init__(self):
@@ -176,10 +176,8 @@ class BNNModel:
             raise ValueError("output layer must have size 1")
         if any(s < 1 for s in sizes):
             raise ValueError("all layer sizes must be >= 1")
-
-    @property
-    def noise_sigma(self) -> float:
-        return math.exp(self.noise_log_sigma)
+        if self.noise_sigma <= 0:
+            raise ValueError("noise_sigma must be positive")
 
     @cached_property
     def dim(self) -> int:
@@ -314,7 +312,7 @@ def model_from_config(config: dict) -> BNNModel:
     if not isinstance(learn_noise := config.get("learn_noise", False), bool):
         raise ValueError(f"model config field 'learn_noise' must be true or false, "
                          f"got {learn_noise!r}")
-    return BNNModel(layer_sizes=tuple(sizes), noise_log_sigma=math.log(noise_sigma),
+    return BNNModel(layer_sizes=tuple(sizes), noise_sigma=float(noise_sigma),
                     learn_noise=learn_noise)
 
 

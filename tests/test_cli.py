@@ -200,16 +200,34 @@ class TestFitDensityCommand:
                        "--init-log-sigma", math.log(0.1), "--learning-rate", 2.0,
                        "--max-iters", 50, "--out", tmp_path / "x") == 3
 
-    @pytest.mark.parametrize("args", [
-        ("--learning-rate", 1e300),
-        ("--init-mu", 1e300),
-        ("--init-mu", 0, "--init-log-sigma", -800),
-        ("--init-mu", 0, "--init-log-sigma", 800),
-    ], ids=["huge-step", "far-mu", "tiny-sigma", "huge-sigma"])
-    def test_iterate_past_the_float_range_is_numerical_error(self, tmp_path, capsys, args):
-        assert run_cli("fit-density", "--divergence", "kl", *args, "--max-iters", 50,
-                       "--out", tmp_path / "x") == 3
+    def test_iterate_past_the_float_range_is_numerical_error(self, tmp_path, capsys):
+        assert run_cli("fit-density", "--divergence", "kl", "--learning-rate", 1e300,
+                       "--max-iters", 50, "--out", tmp_path / "x") == 3
         assert "numerical error: the fit left the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        (("--target", "gaussian:0,1e-300", "--init-mu", 0),
+         "sigma exp(0.0) exceeds the grid's width 2e-299"),
+        (("--target", "gaussian:0,1", "--init-mu", 0, "--init-log-sigma", -12),
+         "sigma exp(-12.0) is below the grid's spacing 0.005, which cannot resolve it"),
+        (("--target", "gaussian:0,1", "--init-mu", 1e6),
+         "mu 1000000.0 lies outside the grid [-10.0, 10.0]"),
+        (("--init-mu", 1e300), "mu 1e+300 lies outside the grid"),
+        (("--init-mu", 0, "--init-log-sigma", -800),
+         "sigma exp(-800.0) is below the grid's spacing"),
+        (("--init-mu", 0, "--init-log-sigma", 800), "sigma exp(800.0) exceeds the grid's width"),
+        (("--target", '{"kind": "grid", "lo": 0, "hi": 5e-324, "log_values": [0, 0, 0]}',
+          "--init-mu", 0), "sigma exp(0.0) exceeds the grid's width 4.94066e-324"),
+    ], ids=["narrow-target", "sigma-below-spacing", "mu-off-grid", "far-mu", "tiny-sigma",
+            "huge-sigma", "zero-spacing"])
+    def test_start_the_grid_cannot_hold_is_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x"
+        assert run_cli("fit-density", "--divergence", "kl", *args, "--max-iters", 5,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error: --init-mu/--init-log-sigma: the start's " in err
+        assert message in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -295,10 +313,9 @@ class TestUciCommand:
         assert code == 0
         model = read_json(out / "results.json")["model"]
         assert model["layer_sizes"] == [3, 4, 1]
-        # 0.05 does not survive exp(log(.)); the entry keeps that rounding
         assert json.dumps(model, sort_keys=True) == (
             '{"kind": "bnn", "layer_sizes": [3, 4, 1], "learn_noise": false, '
-            '"noise_sigma": 0.05000000000000001, "prior_sigma": 1.0}')
+            '"noise_sigma": 0.05, "prior_sigma": 1.0}')
 
     def test_model_config_dim_mismatch(self, tmp_path, csv_path):
         model_cfg = tmp_path / "model.json"

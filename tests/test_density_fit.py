@@ -300,14 +300,14 @@ class TestFiniteDifferenceOracle:
 class TestFitGaussian:
     def test_recovers_single_gaussian_target(self):
         target = SkewMixtureTarget((SkewComponent(1.0, 0.0, 1.0, 0.0),))
-        res = fit_gaussian(FitObjective.kl(), target,
+        res = fit_gaussian(FitObjective.kl(), target.tabulate(),
                            init=Gaussian1D(2.0, math.log(3.0)), max_iters=5000)
         assert res.converged
         assert res.final.mu == pytest.approx(0.0, abs=1e-3)
         assert res.final.log_sigma == pytest.approx(0.0, abs=1e-3)
 
     def test_trace_descends_when_smoothed(self):
-        res = fit_gaussian(FitObjective.sab(-0.2, 2.0), SkewMixtureTarget.default(),
+        res = fit_gaussian(FitObjective.sab(-0.2, 2.0), SkewMixtureTarget.default().tabulate(),
                            max_iters=400)
         trace = res.divergence_trace
         window = 20
@@ -354,27 +354,27 @@ class TestFitGaussian:
     def test_iterate_past_the_float_range_is_evaluation_error(self, init, learning_rate,
                                                               evaluated):
         with pytest.raises(EvaluationError, match="the fit left the float range") as excinfo:
-            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default(), init=init,
+            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default().tabulate(), init=init,
                          opt=AdamConfig(learning_rate=learning_rate), max_iters=50)
         partial = getattr(excinfo.value, "partial_result", None)
         assert (0 if partial is None else partial.iterations) == evaluated
 
     def test_max_iters_validated(self):
         with pytest.raises(ValueError):
-            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default(), max_iters=0)
+            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default().tabulate(), max_iters=0)
 
 
 @pytest.fixture(scope="module")
 def mode_seeking_fit():
     # the mode-seeking runs need the full iteration budget to settle
-    return fit_gaussian(FitObjective.sab(1.8 + 1.0, -1.0), SkewMixtureTarget.default())
+    return fit_gaussian(FitObjective.sab(1.8 + 1.0, -1.0), SkewMixtureTarget.default().tabulate())
 
 
 class TestMassCoveringVsModeSeeking:
     """Fits on the stock two-mode target: larger beta spreads the fit."""
 
     def test_beta_orders_fitted_width(self, mode_seeking_fit):
-        wide = fit_gaussian(FitObjective.sab(1.8 - 2.0, 2.0), SkewMixtureTarget.default())
+        wide = fit_gaussian(FitObjective.sab(1.8 - 2.0, 2.0), SkewMixtureTarget.default().tabulate())
         assert wide.final.sigma > mode_seeking_fit.final.sigma
 
     def test_robust_fit_tracks_the_tall_component(self, mode_seeking_fit):

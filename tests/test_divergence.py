@@ -11,7 +11,6 @@ from sabvi.divergence import (
     DomainError,
     EvaluationError,
     GridDensity,
-    QuadratureMeasure,
     Region,
     classify_region,
     eval_gamma,
@@ -73,16 +72,33 @@ class TestGridDensity:
         np.testing.assert_allclose(d.x, np.arange(-5.0, 6.0))
 
 
-class TestQuadratureMeasure:
-    def test_trapezoid_normalized(self):
+class TestQuadratureWeights:
+    def test_trapezoid_weights(self):
         d = GridDensity.gaussian(0.0, 1.0, -10.0, 10.0, 4001)
-        m = QuadratureMeasure.trapezoid(d)
-        assert abs(m.weights.sum() - 1.0) < 1e-12
-        assert np.all(m.weights >= 0)
+        w = d.weights
+        assert w[0] == w[-1] == 0.5 * d.spacing
+        assert np.all(w[1:-1] == d.spacing)
+        assert abs(w.sum() - (d.hi - d.lo)) < 1e-12
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureMeasure(np.array([0.5, -0.5]))
+    def test_reference_weights_are_the_trapezoid_weights_normalized_bit_for_bit(self):
+        d = GridDensity.gaussian(0.3, 0.7, -6.5, 7.25, 1301)
+        w = d.weights
+        np.testing.assert_array_equal(d.reference_weights, w / w.sum())
+        assert abs(d.reference_weights.sum() - 1.0) < 1e-12
+
+    def test_each_access_returns_a_fresh_array(self):
+        d = GridDensity.gaussian(0.0, 1.0, -5.0, 5.0, 11)
+        d.reference_weights[:] = 0.0
+        d.weights[:] = 0.0
+        assert d.weights[1] == d.spacing and d.reference_weights[1] == 0.1
+
+    @pytest.mark.parametrize("params", [DivergenceParams(1.4, 0.7), DivergenceParams(0.0, 0.8),
+                                        DivergenceParams(0.8, 0.0), DivergenceParams(0.8, -0.8),
+                                        DivergenceParams(0.0, 0.0)],
+                             ids=["generic", "alpha_zero", "beta_zero", "sum_zero", "origin"])
+    def test_eval_sab_defaults_to_the_reference_weights_bit_for_bit(self, params):
+        p, q = gaussian_pair(-0.2, 0.9, 0.4, 1.3, n=801)
+        assert eval_sab(params, p, q, weights=p.reference_weights) == eval_sab(params, p, q)
 
 
 class TestClosedFormAgreement:
@@ -166,7 +182,7 @@ class TestGaussianOracle:
 
     def test_power_integral_against_quadrature(self):
         p, q = gaussian_pair(-0.4, 0.9, 0.6, 1.2)
-        w = QuadratureMeasure.trapezoid(p, normalized=False).weights
+        w = p.weights
         for a in (0.3, 0.5, 1.7, 2.0, -0.5):
             numeric = float(w @ np.exp(a * p.log_values + (1 - a) * q.log_values))
             assert gaussian_power_log_integral(a, -0.4, 0.9, 0.6, 1.2) == pytest.approx(
@@ -241,8 +257,8 @@ class TestStructuralProperties:
             params = DivergenceParams(1.4, 0.7)
             base = eval_sab(params, p, q)
             for c in (0.1, 10.0):
-                m = QuadratureMeasure.trapezoid(p).scaled(c)
-                assert abs(eval_sab(params, p, q, measure=m) - base) < 1e-10
+                assert abs(eval_sab(params, p, q, weights=c * p.reference_weights)
+                           - base) < 1e-10
 
     def test_dual_symmetry(self, rng):
         for _ in range(10):
@@ -272,7 +288,7 @@ class TestStructuralProperties:
             _, p, q = sample_gaussian_pair(rng)
             for a in (0.3, 1.7, 2.2, -0.5):
                 lhs = eval_sab(DivergenceParams(a, 1.0 - a), p, q)
-                w = QuadratureMeasure.trapezoid(p, normalized=False).log_weights
+                w = np.log(p.weights)
                 expo = a * p.log_values + (1 - a) * q.log_values + w
                 m = expo.max()
                 rhs = (m + math.log(np.exp(expo - m).sum())) / (a * (a - 1.0))
@@ -342,7 +358,7 @@ class TestKernel:
 
     def test_grid_row_matches_a_plain_log_sum_exp_bit_for_bit(self):
         p, q = gaussian_pair(-0.3, 0.8, 0.6, 1.4)
-        row = QuadratureMeasure.trapezoid(p).log_weights + 1.7 * p.log_values - 0.4 * q.log_values
+        row = np.log(p.reference_weights) + 1.7 * p.log_values - 0.4 * q.log_values
         t, s = lse_rows(row.copy())
         want_t, want_s = self._reference(row)
         assert t == want_t
@@ -366,7 +382,7 @@ class TestKernel:
         # nodes and is subnormal on a few
         p = SkewMixtureTarget.default().tabulate()
         q = GridDensity.gaussian(-0.5, 0.05, p.lo, p.hi, p.n)
-        row = QuadratureMeasure.trapezoid(p).log_weights + 2.8 * q.log_values - p.log_values
+        row = np.log(p.reference_weights) + 2.8 * q.log_values - p.log_values
         plain = np.exp(row - row.max())
         normal = plain >= np.finfo(float).tiny
         assert (plain == 0.0).any() and ((plain > 0.0) & ~normal).any()
@@ -384,7 +400,7 @@ class TestFlooredTailGuard:
     def test_measure_without_mass_raises(self, params):
         p, q = gaussian_pair(0.0, 1.0, 0.5, 1.2, n=101)
         with pytest.raises(EvaluationError, match="no mass to integrate"):
-            eval_sab(params, p, q, measure=QuadratureMeasure(np.zeros(101)))
+            eval_sab(params, p, q, weights=np.zeros(101))
 
     def test_negative_exponent_on_clamped_tail_raises(self):
         # narrow vs wide on a shared wide grid: the narrow density clamps,

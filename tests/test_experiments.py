@@ -280,6 +280,10 @@ class TestToyExperiment:
 
 
 class TestNestedCV:
+    def test_network_trains_at_the_configured_noise(self):
+        assert CVRunConfig().build_model(4).noise_sigma == 0.1
+        assert CVRunConfig(noise_sigma=0.05).build_model(4).noise_sigma == 0.05
+
     def _tiny_dataset(self, n=48):
         return corrupt(normalize(gen_nonlinear(n, 3, seed=9)), 0.1, seed=9)
 

@@ -95,7 +95,7 @@ class TestBNN:
         model = BNNModel(layer_sizes=(2, 4, 1))
         X = rng.uniform(-1, 1, (5, 2))
         y = rng.standard_normal(5)
-        sigma = math.exp(model.noise_log_sigma)
+        sigma = model.noise_sigma
         want = (model.dim * (-0.5 * _LOG_2PI)          # standard-normal prior at 0
                 - 0.5 * float(y @ y) / sigma**2 - 5 * (math.log(sigma) + 0.5 * _LOG_2PI))
         assert model.log_joint(np.zeros(model.dim), XYData(X, y)) == pytest.approx(want)
@@ -123,20 +123,30 @@ class TestBNN:
 
 class TestModelConfig:
     def test_bnn_roundtrip(self):
-        model = BNNModel(layer_sizes=(4, 10, 1), noise_log_sigma=math.log(0.3),
-                         learn_noise=True)
+        model = BNNModel(layer_sizes=(4, 10, 1), noise_sigma=0.3, learn_noise=True)
         back = model_from_config(model.to_config())
         assert back.layer_sizes == model.layer_sizes
-        assert back.noise_log_sigma == pytest.approx(model.noise_log_sigma)
+        assert back.noise_sigma == model.noise_sigma == 0.3
         assert back.learn_noise
 
     def test_serialized_config_is_unchanged(self):
         config = {"kind": "bnn", "layer_sizes": [4, 10, 1], "noise_sigma": 0.05,
                   "learn_noise": True}
-        # 0.05 does not survive exp(log(.)): the serialized noise keeps that rounding
         assert json.dumps(model_from_config(config).to_config(), sort_keys=True) == (
             '{"kind": "bnn", "layer_sizes": [4, 10, 1], "learn_noise": true, '
-            '"noise_sigma": 0.05000000000000001, "prior_sigma": 1.0}')
+            '"noise_sigma": 0.05, "prior_sigma": 1.0}')
+
+    @pytest.mark.parametrize("noise_sigma", [0.05, 0.1])
+    def test_configured_noise_round_trips_exactly(self, noise_sigma):
+        config = {"kind": "bnn", "layer_sizes": [4, 10, 1], "noise_sigma": noise_sigma}
+        model = model_from_config(config)
+        assert model.noise_sigma == noise_sigma
+        assert model.to_config()["noise_sigma"] == noise_sigma
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, -0.1])
+    def test_non_positive_noise_rejected(self, noise_sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be positive"):
+            BNNModel(layer_sizes=(2, 3, 1), noise_sigma=noise_sigma)
 
     def test_defaults_fill_in(self):
         model = model_from_config({"kind": "bnn", "layer_sizes": [2, 5, 1]})
@@ -241,9 +251,8 @@ def _reference_log_joint(model, theta, X, y):
         pos += n_out * (n_in + 1)
         if i < len(sizes) - 2:
             h = np.maximum(h, 0.0)
-    log_sigma = theta[-1] if model.learn_noise else model.noise_log_sigma
-    return (norm.logpdf(theta).sum()
-            + norm.logpdf(y, loc=h[:, 0], scale=math.exp(log_sigma)).sum())
+    sigma = math.exp(theta[-1]) if model.learn_noise else model.noise_sigma
+    return (norm.logpdf(theta).sum() + norm.logpdf(y, loc=h[:, 0], scale=sigma).sum())
 
 
 @st.composite
