@@ -212,6 +212,22 @@ def moment_matched_init(target: GridDensity) -> Gaussian1D:
     return Gaussian1D(mean, math.log(std))
 
 
+def unresolved(grid: GridDensity, mu: float, log_sigma: float) -> str | None:
+    """Why the grid cannot resolve the Gaussian (mu, exp(log_sigma)), or None
+    if it can: mu off the grid, or sigma below its spacing (the rule
+    `density_spec.tabulate` applies to targets) or above its width, with
+    sigma compared in log space."""
+    if not grid.lo <= mu <= grid.hi:
+        return f"mu {mu!r} lies outside the grid [{grid.lo!r}, {grid.hi!r}]"
+    spacing, width = grid.spacing, grid.hi - grid.lo
+    if spacing > 0 and log_sigma < math.log(spacing):  # a subnormal width's spacing can be 0
+        return (f"sigma exp({log_sigma!r}) is below the grid's spacing {spacing:.6g}, "
+                f"which cannot resolve it")
+    if log_sigma > math.log(width):
+        return f"sigma exp({log_sigma!r}) exceeds the grid's width {width:.6g}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # objectives and gradients
 # ---------------------------------------------------------------------------
@@ -414,10 +430,10 @@ def fit_gaussian(objective: FitObjective, target: GridDensity,
 
     Converges when the gradient sup-norm drops below GRADIENT_TOL.  An
     evaluation error mid-run aborts and re-raises with the partial result
-    attached as ``exc.partial_result``.  An iterate that leaves the float
-    range (a floating-point overflow, division by zero or invalid operation
-    in a step, or exp(log sigma) past the largest float) ends the fit the
-    same way, as an EvaluationError.
+    attached as ``exc.partial_result``.  An iterate the target's grid cannot
+    resolve (`unresolved`), the start included, and one that leaves the
+    float range (a floating-point overflow, division by zero or invalid
+    operation in a step) end the fit the same way, as an EvaluationError.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -434,6 +450,8 @@ def fit_gaussian(objective: FitObjective, target: GridDensity,
         for _ in range(max_iters):
             mu, log_sigma = state.params[0]
             try:
+                if (reason := unresolved(target, float(mu), float(log_sigma))) is not None:
+                    raise EvaluationError(f"the fit's iterate {len(trace)}: {reason}")
                 value, grad = evaluator.value_and_grad(mu, log_sigma)
                 trace.append(value)
                 if np.abs(grad).max() < GRADIENT_TOL:

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .density_fit import SkewComponent, SkewMixtureTarget
+from .density_fit import SkewComponent, SkewMixtureTarget, unresolved
 from .divergence import DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, GridDensity, gaussian_log_pdf
 
 
@@ -155,13 +155,6 @@ def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
 
 
 def check_start(grid: GridDensity, mu: float, log_sigma: float) -> None:
-    """Refuse a Gaussian start off the grid, or whose sigma is below its spacing
-    (`tabulate`'s rule) or above its width; sigma is compared in log space."""
-    if not grid.lo <= mu <= grid.hi:
-        raise SpecError(f"the start's mu {mu!r} lies outside the grid [{grid.lo!r}, {grid.hi!r}]")
-    spacing, width = grid.spacing, grid.hi - grid.lo
-    if spacing > 0 and log_sigma < math.log(spacing):  # a subnormal width's spacing can be 0
-        raise SpecError(f"the start's sigma exp({log_sigma!r}) is below the grid's spacing "
-                        f"{spacing:.6g}, which cannot resolve it")
-    if log_sigma > math.log(width):
-        raise SpecError(f"the start's sigma exp({log_sigma!r}) exceeds the grid's width {width:.6g}")
+    """Refuse a Gaussian start that the grid cannot resolve (`density_fit.unresolved`)."""
+    if (reason := unresolved(grid, mu, log_sigma)) is not None:
+        raise SpecError(f"the start's {reason}")

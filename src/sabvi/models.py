@@ -11,7 +11,18 @@ and one vector-matrix product per row.  Prediction needs two more:
 and ``noise_var(thetas)``, the observation noise variance averaged over
 them.  A row's log joint, gradient and outputs do not depend on which
 rows share its batch, bit for bit, so batched training equals training
-each cell alone.  ``log_joint(theta, data)`` and
+each cell alone.
+
+The network runs units-major: every activation is K x width x N, with
+the N data points innermost, so each elementwise pass (bias, ReLU mask,
+backward product) runs along rows of N rather than of width.  The input
+layer multiplies X' with a row of ones appended, so its bias is the last
+column of its weights and its bias gradient comes out of the weight
+gradient's matmul.  Every layer stays one stacked matmul per parameter
+row, never one GEMM across the rows: BLAS then sums each row's products
+in an order that depends on the batch (the input layer's weight gradient
+as one (K width) x N GEMM gives different bits than one row alone at
+4-10-1 with K = 15 and N = 128).  ``log_joint(theta, data)`` and
 ``grad_log_joint(theta, data)`` are one-row views of the batched method;
 no command calls them, but the benchmark's tracer wraps them.  ``data`` is
 any object with ``X`` (N x D) and ``y`` (N,) attributes.  `BNNModel`
@@ -196,20 +207,26 @@ class BNNModel:
         return tuple(out)
 
     def _forward(self, thetas: np.ndarray, X: np.ndarray):
-        """Run all K networks on X: (weights, activations).
+        """Run all K networks on X: (weights, activations), units-major.
 
-        Weights are K x out x in.  activations[0] is X itself (N x D); every
-        later one is K x N x width, and the last is the network output.
-        Each hidden ReLU is applied in place, so a unit is active exactly
-        where its activation is positive.
+        activations[0] is X' over a row of ones, (D + 1) x N, and weights[0]
+        the input layer's K x out x (D + 1) weights with the bias last; every
+        later activation is K x width x N (the last is the output), and every
+        later weight K x out x in.  Each hidden ReLU is applied in place, so
+        a unit is active exactly where its activation is positive.
         """
-        weights, acts = [], [X]
-        for i, (w_sl, b_sl, n_out, n_in) in enumerate(self._layer_slices):
-            if i:
-                np.maximum(acts[-1], 0.0, out=acts[-1])
-            W = thetas[:, w_sl].reshape(-1, n_out, n_in)
-            h = np.matmul(acts[-1], W.transpose(0, 2, 1))
-            h += thetas[:, None, b_sl]
+        k = len(thetas)
+        (w_sl, b_sl, n_out, n_in), *rest = self._layer_slices
+        first = np.concatenate([thetas[:, w_sl].reshape(k, n_out, n_in),
+                                thetas[:, b_sl, None]], axis=2)
+        x_ones = np.ones((n_in + 1, len(X)))  # C order, faster here than vstack's F order
+        x_ones[:n_in] = X.T
+        weights, acts = [first], [x_ones, np.matmul(first, x_ones)]
+        for w_sl, b_sl, n_out, n_in in rest:
+            np.maximum(acts[-1], 0.0, out=acts[-1])
+            W = thetas[:, w_sl].reshape(k, n_out, n_in)
+            h = np.matmul(W, acts[-1])
+            h += thetas[:, b_sl, None]
             weights.append(W)
             acts.append(h)
         return weights, acts
@@ -217,7 +234,7 @@ class BNNModel:
     def outputs(self, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
         """K x N network outputs, one row per parameter row."""
         _, acts = self._forward(_as_rows(thetas, self.dim), np.asarray(X, dtype=float))
-        return acts[-1][:, :, 0]
+        return acts[-1][:, 0]
 
     def noise_var(self, thetas: np.ndarray) -> float:
         """The fixed noise variance, or E[exp(2 theta_noise)] over the rows
@@ -242,17 +259,27 @@ class BNNModel:
         else:
             sigma = np.full(k, self.noise_sigma)
         weights, acts = self._forward(thetas, X)
-        resid = y - acts[-1][:, :, 0]
+        resid = y - acts[-1][:, 0]
         value += (-0.5 * np.einsum("kn,kn->k", resid, resid) / sigma**2
                   - len(y) * (np.log(sigma) + 0.5 * _LOG_2PI))
-        delta = (resid / sigma[:, None] ** 2)[:, :, None]  # d loglik / d output
-        ones = np.ones(len(y))  # column sums as a matmul, faster than sum(axis=1)
-        for i, (w_sl, b_sl, _, _) in reversed(list(enumerate(self._layer_slices))):
-            grad[:, w_sl] += np.matmul(delta.transpose(0, 2, 1), acts[i]).reshape(k, -1)
-            grad[:, b_sl] += ones @ delta
-            if i:
-                delta = np.matmul(delta, weights[i])
-                delta *= acts[i] > 0
+        delta = (resid / sigma[:, None] ** 2)[:, None]  # d loglik / d output, K x 1 x N
+        ones = np.ones(len(y))  # row sums as a matmul, faster than sum(axis=2)
+        slices = self._layer_slices
+        for i in range(len(slices) - 1, 0, -1):
+            w_sl, b_sl, n_out, _ = slices[i]
+            grad[:, w_sl] += np.matmul(delta, acts[i].transpose(0, 2, 1)).reshape(k, -1)
+            grad[:, b_sl] += delta @ ones
+            w_t = weights[i].transpose(0, 2, 1)
+            # a one-unit layer's product has one term per entry: broadcast is the
+            # same bits as matmul, and faster
+            delta = w_t * delta if n_out == 1 else np.matmul(w_t, delta)
+            delta *= acts[i] > 0
+        # the row of ones makes the bias gradient the last column
+        w_sl, b_sl, n_out, n_in = slices[0]
+        first = np.matmul(delta, acts[0].T)
+        grad_w = grad[:, w_sl].reshape(k, n_out, n_in)  # a view into grad
+        grad_w += first[:, :, :n_in]
+        grad[:, b_sl] += first[:, :, n_in]
         if self.learn_noise:
             grad[:, -1] += np.sum(resid**2, axis=1) / sigma**2 - len(y)
         return value, grad
@@ -332,7 +359,7 @@ class PredictiveSummary:
             raise ValueError("need at least one posterior draw")
 
 
-# Draws per batched outputs call: bounds the chunk x N x width hidden
+# Draws per batched outputs call: bounds the chunk x width x N hidden
 # activations of a network however many draws a prediction makes.
 _PREDICT_CHUNK = 32
 

@@ -251,7 +251,7 @@ class TrainReport:
         }
 
 
-# Sample rows per batched model call: bounds the rows x N x width
+# Sample rows per batched model call: bounds the rows x width x N
 # activations of a network however many cells train together.  Larger
 # calls did not pay: a BNN 8-50-50-1 step at K = 25, N = 128 ran about 10%
 # slower per cell with two cells (50 rows) per call than with one.

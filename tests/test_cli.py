@@ -201,9 +201,22 @@ class TestFitDensityCommand:
                        "--max-iters", 50, "--out", tmp_path / "x") == 3
 
     def test_iterate_past_the_float_range_is_numerical_error(self, tmp_path, capsys):
-        assert run_cli("fit-density", "--divergence", "kl", "--learning-rate", 1e300,
-                       "--max-iters", 50, "--out", tmp_path / "x") == 3
+        target = '{"kind": "grid", "lo": 0, "hi": 1e-200, "log_values": [0, 0, 0]}'
+        assert run_cli("fit-density", "--divergence", "kl", "--target", target,
+                       "--init-mu", 5e-201, "--init-log-sigma", -461, "--max-iters", 50,
+                       "--out", tmp_path / "x") == 3
         assert "numerical error: the fit left the float range" in capsys.readouterr().err
+
+    def test_iterate_the_grid_cannot_resolve_is_numerical_error(self, tmp_path, capsys):
+        # a start the grid holds, but a step size that throws sigma past its width
+        out = tmp_path / "x"
+        assert run_cli("fit-density", "--divergence", "kl", "--target", "gaussian:0,1",
+                       "--init-mu", 0, "--init-log-sigma", -2, "--learning-rate", 8,
+                       "--max-iters", 3, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: the fit's iterate 1: sigma exp(" in err
+        assert "exceeds the grid's width 20" in err
+        assert not (out / "results.json").exists()
 
     @pytest.mark.parametrize("args,message", [
         (("--target", "gaussian:0,1e-300", "--init-mu", 0),

@@ -345,19 +345,33 @@ class TestFitGaussian:
         assert partial is not None
         assert partial.iterations >= 1 and not partial.converged
 
-    @pytest.mark.parametrize("init,learning_rate,evaluated", [
-        (Gaussian1D(1e300, 0.0), 0.01, 0),  # z * z overflows
-        (Gaussian1D(0.0, -800.0), 0.01, 0),  # sigma underflows to 0
-        (Gaussian1D(0.0, 800.0), 0.01, 0),  # sigma overflows
-        (None, 1e300, 1),  # the first step sends sigma to 0
-    ], ids=["far-mu", "tiny-sigma", "huge-sigma", "huge-step"])
-    def test_iterate_past_the_float_range_is_evaluation_error(self, init, learning_rate,
-                                                              evaluated):
-        with pytest.raises(EvaluationError, match="the fit left the float range") as excinfo:
-            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default().tabulate(), init=init,
+    @pytest.mark.parametrize("target,init,learning_rate,evaluated,message", [
+        (None, Gaussian1D(1e300, 0.0), 0.01, 0, "mu 1e+300 lies outside the grid"),
+        (None, Gaussian1D(0.0, -800.0), 0.01, 0, "sigma exp(-800.0) is below the grid's spacing"),
+        (None, Gaussian1D(0.0, 800.0), 0.01, 0, "sigma exp(800.0) exceeds the grid's width"),
+        (None, None, 1e300, 1, "lies outside the grid"),  # the first step sends mu off it
+        # the second iterate's sigma is e^6, wider than the 20-wide grid
+        (GridDensity(-10.0, 10.0, gaussian_log_pdf(np.linspace(-10.0, 10.0, 4001), 0.0, 1.0)),
+         Gaussian1D(0.0, -2.0), 8.0, 1, "exceeds the grid's width 20"),
+    ], ids=["far-mu", "tiny-sigma", "huge-sigma", "huge-step", "mid-fit"])
+    def test_iterate_the_grid_cannot_resolve_is_evaluation_error(self, target, init,
+                                                                learning_rate, evaluated,
+                                                                message):
+        if target is None:
+            target = SkewMixtureTarget.default().tabulate()
+        with pytest.raises(EvaluationError, match=r"the fit's iterate \d+: ") as excinfo:
+            fit_gaussian(FitObjective.kl(), target, init=init,
                          opt=AdamConfig(learning_rate=learning_rate), max_iters=50)
+        assert message in str(excinfo.value)
         partial = getattr(excinfo.value, "partial_result", None)
         assert (0 if partial is None else partial.iterations) == evaluated
+
+    def test_iterate_past_the_float_range_is_evaluation_error(self):
+        # on a grid 1e-200 wide the first gradient's 1 / sigma^2 overflows
+        target = GridDensity(0.0, 1e-200, np.zeros(3))
+        with pytest.raises(EvaluationError, match="the fit left the float range"):
+            fit_gaussian(FitObjective.kl(), target, init=Gaussian1D(5e-201, -461.0),
+                         max_iters=50)
 
     def test_max_iters_validated(self):
         with pytest.raises(ValueError):

@@ -285,7 +285,27 @@ class TestBatchedContract:
             scale = max(1.0, abs(a_k))
             assert abs(_reference_log_joint(model, theta, data.X, data.y) - a_k) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("model", [BLRModel(input_dim=2), BNNModel(layer_sizes=(2, 3, 1))])
+    @pytest.mark.parametrize("learn_noise", [False, True])
+    @pytest.mark.parametrize("sizes,k,n", [
+        ((4, 10, 1), 15, 128),  # the nested-CV network's inner fits
+        ((4, 10, 1), 10, 256),
+        ((8, 50, 50, 1), 25, 128),  # `uci --full`'s network
+    ])
+    def test_rows_stay_independent_at_real_shapes(self, sizes, k, n, learn_noise):
+        # the drawn problems above stay below the sizes where BLAS changes kernels
+        model = BNNModel(layer_sizes=sizes, learn_noise=learn_noise)
+        g = np.random.default_rng(k * n)
+        thetas = 0.7 * g.standard_normal((k, model.dim))
+        data = XYData(g.uniform(-1.0, 1.0, (n, sizes[0])), g.standard_normal(n))
+        a, G = model.log_joint_and_grad(thetas, data)
+        f = model.outputs(thetas, data.X)
+        batches = [slice(0, j) for j in range(2, k)] + [slice(j, j + 1) for j in range(k)]
+        for rows in batches:  # every prefix, and each row alone
+            a_rows, G_rows = model.log_joint_and_grad(thetas[rows], data)
+            assert np.array_equal(a_rows, a[rows]) and np.array_equal(G_rows, G[rows])
+            assert np.array_equal(model.outputs(thetas[rows], data.X), f[rows])
+
+    @pytest.mark.parametrize("model",[BLRModel(input_dim=2), BNNModel(layer_sizes=(2, 3, 1))])
     def test_rows_must_match_dim(self, model):
         data = XYData(np.zeros((1, 2)), np.zeros(1))
         for bad in (np.zeros(model.dim), np.zeros((2, model.dim + 1))):
