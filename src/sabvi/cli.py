@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck, vi
-from .density_fit import FitObjective, Gaussian1D, fit_gaussian, moment_matched_init
-from .density_spec import SpecError, check_start, parse_density_spec, read_json_file, tabulate
+from .density_fit import FitObjective, Gaussian1D, fit_gaussian, moment_matched_init, unresolved
+from .density_spec import SpecError, parse_density_spec, read_json_file, tabulate
 from .divergence import (DEFAULT_GRID_POINTS, DivergenceParams, DomainError, EvaluationError,
                          classify_region, eval_sab)
 from .experiments import (
@@ -154,10 +154,8 @@ def cmd_fit_density(config: dict) -> int:
     if config.get("init_mu") is not None:
         log_sigma = config.get("init_log_sigma")
         init = Gaussian1D(config["init_mu"], 0.0 if log_sigma is None else log_sigma)
-        try:
-            check_start(target, init.mu, init.log_sigma)
-        except SpecError as exc:
-            raise ConfigError(f"--init-mu/--init-log-sigma: {exc}") from exc
+        if (reason := unresolved(target, init.mu, init.log_sigma)) is not None:
+            raise ConfigError(f"--init-mu/--init-log-sigma: the start's {reason}")
     else:
         try:
             init = moment_matched_init(target)
@@ -263,6 +261,10 @@ def cmd_uci(config: dict) -> int:
         raise ConfigError("uci needs --csv")
     if min(config["hidden"]) < 1:
         raise ConfigError(f"--hidden sizes must be at least 1, got {config['hidden']}")
+    try:
+        grid = GridSearchSpec(step=config["grid_step"])
+    except ValueError as exc:
+        raise ConfigError(f"--grid-step: {exc}") from exc
     dataset = normalize(load_csv(config["csv"], config["target_column"]))
     if config["corrupt"] > 0:
         dataset = corrupt(dataset, config["corrupt"], config["seed"])
@@ -284,8 +286,8 @@ def cmd_uci(config: dict) -> int:
         cv_cfg = replace(cv_cfg, hidden=model.layer_sizes[1:-1],
                          noise_sigma=model.noise_sigma, learn_noise=model.learn_noise)
     outdir = _start(config)  # nested_cv refuses a column constant on one outer fold
-    report = nested_cv(dataset, GridSearchSpec(step=config["grid_step"]), k1=k1, k2=k2,
-                       config=cv_cfg, seed=config["seed"], collect_reports=True)
+    report = nested_cv(dataset, grid, k1=k1, k2=k2, config=cv_cfg, seed=config["seed"],
+                       collect_reports=True)
     payload = report.to_dict()
     _dump_json(outdir / "reports.json", payload.pop("train_reports"))
     payload["model"] = cv_cfg.build_model(dataset.dim).to_config()

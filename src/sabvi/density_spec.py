@@ -18,8 +18,7 @@ path prefixed with ``@``, or an inline JSON object.
 A spec parses to a `SkewMixtureTarget`, a `GaussianSpec` (both have
 ``grid_range(span)``, ``min_scale()`` and ``log_pdf(x)``, so they go on
 any fine enough grid) or a `GridDensity`, validated here once, which
-carries its own grid.  `tabulate` puts specs on one shared grid, and
-`check_start` applies its resolution rule to a fit's Gaussian start.
+carries its own grid.  `tabulate` puts specs on one shared grid.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 
 import numpy as np
 
-from .density_fit import SkewComponent, SkewMixtureTarget, unresolved
+from .density_fit import SkewComponent, SkewMixtureTarget
 from .divergence import DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, GridDensity, gaussian_log_pdf
 
 
@@ -152,9 +151,3 @@ def tabulate(specs, n: int = DEFAULT_GRID_POINTS,
                         f"density scale {finest:.6g}, which it cannot resolve")
     return [spec if isinstance(spec, GridDensity)
             else GridDensity.from_callable(spec.log_pdf, lo, hi, n) for spec in specs]
-
-
-def check_start(grid: GridDensity, mu: float, log_sigma: float) -> None:
-    """Refuse a Gaussian start that the grid cannot resolve (`density_fit.unresolved`)."""
-    if (reason := unresolved(grid, mu, log_sigma)) is not None:
-        raise SpecError(f"the start's {reason}")

@@ -179,10 +179,6 @@ class GridDensity:
     def same_grid(self, other: "GridDensity") -> bool:
         return self.lo == other.lo and self.hi == other.hi and self.n == other.n
 
-    def with_log_offset(self, log_c: float) -> "GridDensity":
-        """Multiplicative rescaling c * density, applied in log space."""
-        return GridDensity(self.lo, self.hi, self.log_values + log_c)
-
     @classmethod
     def from_callable(cls, log_pdf, lo: float, hi: float, n: int) -> "GridDensity":
         x = np.linspace(lo, hi, n)

@@ -43,6 +43,9 @@ OUTLIER_SHIFT = 5.0
 TOY_WEIGHT = 0.5
 TOY_NOISE_SIGMA = 0.1
 TOY_OUTLIER_X_SIGMA = 0.2
+# nested CV streams a grid cell by its index, and the retraining and the KL
+# baseline by the next two, all within rng's 16-bit task indices
+MAX_GRID_CELLS = rng.INDEX_LIMIT - 2
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,9 @@ def gen_toy(n: int, dim: int, p_outliers: float, seed: int,
     return Dataset.raw(X, y, mask)
 
 
-def gen_nonlinear(n: int, dim: int, seed: int, noise: float = 0.1) -> Dataset:
-    """Small smooth nonlinear regression table for the desk-scale CV runs."""
+def gen_nonlinear(n: int, dim: int, seed: int) -> Dataset:
+    """Small smooth nonlinear regression table for the desk-scale CV runs,
+    with Gaussian target noise of stddev 0.1."""
     if dim < 2:
         raise ValueError("need at least two features")
     g = rng.generator(seed, rng.compose_stream(rng.STREAM_DATA, 2))
@@ -121,7 +125,7 @@ def gen_nonlinear(n: int, dim: int, seed: int, noise: float = 0.1) -> Dataset:
     y = 1.5 * np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
     if dim >= 3:
         y = y - 0.8 * X[:, 2]
-    y = y + noise * g.standard_normal(n)
+    y = y + 0.1 * g.standard_normal(n)
     return Dataset.raw(X, y)
 
 
@@ -172,15 +176,6 @@ def load_csv(path, target_column: str) -> Dataset:
     feat_idx = [i for i in range(len(header)) if i != t_idx]
     names = tuple(header[i] for i in feat_idx)
     return Dataset.raw(table[:, feat_idx], table[:, t_idx], feature_names=names)
-
-
-def save_csv(dataset: Dataset, path, target_column: str = "y"):
-    names = dataset.feature_names or tuple(f"x{i}" for i in range(dataset.dim))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [target_column])
-        for row, target in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
 
 
 def _moments(dataset: Dataset, rows=slice(None), where: str = ""):
@@ -251,7 +246,7 @@ def _train_and_score(cells, model, split, cfg, seed: int, stream_ids):
                           [rng.compose_stream(rng.STREAM_TRAIN, *ids) for ids in stream_ids])
     return [(None if report.diverged else metrics(y_eval, predict(
                 report.final, model, X_eval, cfg.predict_draws, seed,
-                stream=rng.compose_stream(rng.STREAM_PREDICT, *ids)).mean), report)
+                stream=rng.compose_stream(rng.STREAM_PREDICT, *ids))), report)
             for report, ids in zip(reports, stream_ids)]
 
 
@@ -337,7 +332,9 @@ def run_toy_experiment(settings: list[tuple[float, float]], seeds: list[int],
 @dataclass(frozen=True)
 class GridSearchSpec:
     """The (alpha, beta) grid, restricted to the cells `vi.trainable`
-    accepts: the generic ones and the KL corner (1, 0)."""
+    accepts: the generic ones and the KL corner (1, 0).  A step whose full
+    grid, counted from its axis lengths, holds more than MAX_GRID_CELLS
+    cells is refused before any list is built."""
 
     alpha_range: tuple[float, float] = (-0.5, 2.5)
     beta_range: tuple[float, float] = (-1.5, 1.5)
@@ -351,11 +348,18 @@ class GridSearchSpec:
             raise ValueError("step must be positive")
         if self.alpha_range[0] > self.alpha_range[1] or self.beta_range[0] > self.beta_range[1]:
             raise ValueError("ranges must be ordered")
+        if self._length(*self.alpha_range) * self._length(*self.beta_range) > MAX_GRID_CELLS:
+            raise ValueError(f"step {self.step} makes a grid of more than {MAX_GRID_CELLS} "
+                             f"(alpha, beta) cells, the most nested CV can address")
+
+    def _length(self, lo, hi) -> int:
+        """How many grid values [lo, hi] holds, at most MAX_GRID_CELLS + 1,
+        so that a tiny step cannot overflow the count."""
+        return math.floor(min((hi - lo) / self.step, MAX_GRID_CELLS) + 1e-9) + 1
 
     def cells(self) -> list[tuple[float, float]]:
         def axis(lo, hi):
-            k = int(math.floor((hi - lo) / self.step + 1e-9))
-            return [round(lo + i * self.step, 10) for i in range(k + 1)]
+            return [round(lo + i * self.step, 10) for i in range(self._length(lo, hi))]
 
         # values rounded to 10 decimals sum to exactly 0 on the anti-diagonal
         return [(a, b) for a in axis(*self.alpha_range) for b in axis(*self.beta_range)

@@ -65,21 +65,21 @@ def finite_diff_gradient(objective: FitObjective, q: Gaussian1D, p: GridDensity,
         [q.mu, q.log_sigma], h)
 
 
-def check_log_joint_gradient(model, data, seed: int = 0, n_points: int = 20,
-                             h: float = 1e-6, scale: float = 0.5) -> float:
+def check_log_joint_gradient(model, data, seed: int = 0) -> float:
     """Max relative error between log_joint_and_grad and central differences.
 
-    Points are drawn continuously so ReLU kinks are almost surely avoided;
-    coordinate i of a point steps by h max(1, |theta_i|).  The analytic
-    gradients come from one batched call over the points, the differences
-    from one batched call per point over its 2 * dim perturbed rows.
+    20 points are drawn continuously, with stddev 0.5, so ReLU kinks are
+    almost surely avoided; coordinate i of a point steps by 1e-6 max(1,
+    |theta_i|).  The analytic gradients come from one batched call over the
+    points, the differences from one batched call per point over its
+    2 * dim perturbed rows.
     """
     g = rng.generator(seed, rng.compose_stream(rng.STREAM_DATA))
-    thetas = scale * g.standard_normal((n_points, model.dim))
+    thetas = 0.5 * g.standard_normal((20, model.dim))
     _, analytic = model.log_joint_and_grad(thetas, data)
     return max(_rel_err(grad, central_differences(
         lambda rows: model.log_joint_and_grad(rows, data)[0], theta,
-        h * np.maximum(1.0, np.abs(theta)))) for theta, grad in zip(thetas, analytic))
+        1e-6 * np.maximum(1.0, np.abs(theta)))) for theta, grad in zip(thetas, analytic))
 
 
 def _random_target(g) -> tuple[float, float, object]:
@@ -119,11 +119,11 @@ def _random_objective(g, s_q: float, s_p: float) -> FitObjective:
             return objective
 
 
-def density_fit_gradient_suite(n_cases: int = 50, seed: int = 0, h: float = 1e-5,
-                               perturb: float = 0.0) -> list[dict]:
+def density_fit_gradient_suite(seed: int = 0, perturb: float = 0.0) -> list[dict]:
+    """50 random targets and objectives, with central differences of step 1e-5."""
     g = rng.generator(seed, rng.compose_stream(rng.STREAM_DATA, 3))
     rows = []
-    for _ in range(n_cases):
+    for _ in range(50):
         while True:
             center, spread, make = _random_target(g)
             q = Gaussian1D(center + g.uniform(-1.0, 1.0),
@@ -134,7 +134,7 @@ def density_fit_gradient_suite(n_cases: int = 50, seed: int = 0, h: float = 1e-5
             objective = _random_objective(g, q.sigma, spread)
             try:
                 analytic = analytic_gradient(objective, q, p) + perturb
-                fd = finite_diff_gradient(objective, q, p, h)
+                fd = finite_diff_gradient(objective, q, p)
                 break
             except EvaluationError:
                 # spread understates how fast a skewed target's tail decays, so
@@ -153,11 +153,12 @@ def _random_generic_params(g) -> DivergenceParams:
             return DivergenceParams(a, b)
 
 
-def mc_gradient_suite(n_cases: int = 20, seed: int = 0, h: float = 1e-5,
-                      n_samples: int = 7, perturb: float = 0.0) -> list[dict]:
+def mc_gradient_suite(seed: int = 0, perturb: float = 0.0) -> list[dict]:
+    """20 random BLR problems and sAB points, each with a frozen block of 7
+    samples, and central differences of step 1e-5."""
     g = rng.generator(seed, rng.compose_stream(rng.STREAM_DATA, 4))
     rows = []
-    for case in range(n_cases):
+    for case in range(20):
         dim = int(g.integers(1, 4))
         model = BLRModel(input_dim=dim, include_bias=False, noise_sigma=0.3)
         n_obs = 12
@@ -168,14 +169,14 @@ def mc_gradient_suite(n_cases: int = 20, seed: int = 0, h: float = 1e-5,
                               np.log(g.uniform(0.2, 1.0, dim)))
         params = _random_generic_params(g)
         noise = rng.noise_block(seed, rng.compose_stream(rng.STREAM_DATA, 5),
-                                case, n_samples, dim)
+                                case, 7, dim)
         _, d_mu, d_ls = mc_objective_with_grad(params, sample_rows(q, model, data, noise))
         analytic = np.concatenate([d_mu, d_ls]) + perturb
         fd = central_differences(
             lambda points: [mc_objective_with_grad(params, sample_rows(
                 MeanFieldGaussian(point[:dim], point[dim:]), model, data, noise))[0]
                 for point in points],
-            np.concatenate([q.mu, q.log_sigma]), h)
+            np.concatenate([q.mu, q.log_sigma]), 1e-5)
         rows.append({"suite": "mc", "case": f"sab({params.alpha:.3f},{params.beta:.3f}) d={dim}",
                      "max_rel_err": _rel_err(analytic, fd), "threshold": MC_GRAD_TOL})
     return rows

@@ -6,12 +6,11 @@ The variational trainer needs ``dim`` and one batched method,
 parameter rows it returns the K log joints and their K x dim gradients.
 Both models evaluate all rows in one call: the network in one stacked
 forward and backward pass, the linear model through its data statistics
-and one vector-matrix product per row.  Prediction needs two more:
-``outputs(thetas, X)``, the K x N regression outputs of K parameter rows,
-and ``noise_var(thetas)``, the observation noise variance averaged over
-them.  A row's log joint, gradient and outputs do not depend on which
-rows share its batch, bit for bit, so batched training equals training
-each cell alone.
+and one vector-matrix product per row.  Prediction needs one more:
+``outputs(thetas, X)``, the K x N regression outputs of K parameter rows.
+A row's log joint, gradient and outputs do not depend on which rows
+share its batch, bit for bit, so batched training equals training each
+cell alone.
 
 The network runs units-major: every activation is K x width x N, with
 the N data points innermost, so each elementwise pass (bias, ReLU mask,
@@ -39,7 +38,7 @@ gradient-diagnostics command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -107,10 +106,6 @@ class BLRModel:
         if self.include_bias:
             f += thetas[:, -1:]
         return f
-
-    def noise_var(self, thetas: np.ndarray) -> float:
-        """The fixed observation-noise variance, whatever the rows."""
-        return self.noise_sigma**2
 
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta_k, data) and its gradient for every row of K x dim thetas.
@@ -236,13 +231,6 @@ class BNNModel:
         _, acts = self._forward(_as_rows(thetas, self.dim), np.asarray(X, dtype=float))
         return acts[-1][:, 0]
 
-    def noise_var(self, thetas: np.ndarray) -> float:
-        """The fixed noise variance, or E[exp(2 theta_noise)] over the rows
-        when the log noise is learned."""
-        if self.learn_noise:
-            return float(np.mean(np.exp(2.0 * thetas[:, -1])))
-        return self.noise_sigma**2
-
     def log_joint_and_grad(self, thetas: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
         """log p(theta_k, data) and its gradient for every row of K x dim thetas.
 
@@ -348,31 +336,18 @@ def model_from_config(config: dict) -> BNNModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictiveSummary:
-    mean: np.ndarray = field(repr=False)
-    std: np.ndarray = field(repr=False)
-    draws: int
-
-    def __post_init__(self):
-        if self.draws < 1:
-            raise ValueError("need at least one posterior draw")
-
-
 # Draws per batched outputs call: bounds the chunk x width x N hidden
 # activations of a network however many draws a prediction makes.
 _PREDICT_CHUNK = 32
 
 
 def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
-            stream: int | None = None) -> PredictiveSummary:
-    """Monte Carlo posterior-predictive mean and stddev.
+            stream: int | None = None) -> np.ndarray:
+    """Monte Carlo posterior-predictive mean, one value per row of X_test.
 
-    Draws reparameterized thetas from q, averages the deterministic model
-    outputs, evaluated in chunks of at most _PREDICT_CHUNK draws, and adds
-    the observation noise variance (the learned one, averaged over the
-    draws, when the model learns it) to the spread, so the predictive
-    stddev never drops below the noise floor.
+    Draws reparameterized thetas from q and averages the deterministic
+    model outputs, evaluated in chunks of at most _PREDICT_CHUNK draws.
+    The harnesses score only this mean.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
@@ -385,7 +360,4 @@ def predict(q, model, X_test: np.ndarray, draws: int, seed: int,
     for start in range(0, draws, _PREDICT_CHUNK):
         chunk = slice(start, start + _PREDICT_CHUNK)
         outputs[chunk] = model.outputs(thetas[chunk], X_test)
-    mean = outputs.mean(axis=0)
-    var = outputs.var(axis=0)
-    return PredictiveSummary(mean=mean, std=np.sqrt(var + model.noise_var(thetas)),
-                             draws=draws)
+    return outputs.mean(axis=0)

@@ -30,6 +30,9 @@ STREAM_DATA = 2
 STREAM_CORRUPT = 3
 STREAM_FOLDS = 4
 
+# every stream component, the purpose and each task index, is 16-bit
+INDEX_LIMIT = 1 << 16
+
 _U64 = np.uint64
 
 
@@ -46,7 +49,7 @@ def compose_stream(purpose: int, i1: int = 0, i2: int = 0, i3: int = 0) -> int:
     different purposes can never collide whatever the task indices are.
     """
     parts = (purpose, i1, i2, i3)
-    if any(not 0 <= p < (1 << 16) for p in parts):
+    if any(not 0 <= p < INDEX_LIMIT for p in parts):
         raise ValueError("stream components must fit in 16 bits")
     return (purpose << 48) | (i1 << 32) | (i2 << 16) | i3
 

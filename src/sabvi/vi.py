@@ -119,8 +119,8 @@ class MeanFieldGaussian:
         return self.mu.size
 
     @classmethod
-    def initial(cls, dim: int, log_sigma: float = DEFAULT_INIT_LOG_SIGMA):
-        return cls(np.zeros(dim), np.full(dim, log_sigma))
+    def initial(cls, dim: int):
+        return cls(np.zeros(dim), np.full(dim, DEFAULT_INIT_LOG_SIGMA))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from sabvi.divergence import gaussian_pair
+from sabvi.divergence import GridDensity, gaussian_pair
 from sabvi.models import BLRModel, XYData, blr_exact_posterior
 from sabvi.vi import MeanFieldGaussian
 
@@ -27,6 +28,21 @@ class GaussianJointModel:
         a = np.sum(-0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2.0 * math.pi),
                    axis=1) + self.log_scale
         return a, -z / self.sigma
+
+
+def with_log_offset(density: GridDensity, log_c: float) -> GridDensity:
+    """The density times c = exp(log_c), applied in log space."""
+    return GridDensity(density.lo, density.hi, density.log_values + log_c)
+
+
+def save_csv(dataset, path, target_column: str = "y"):
+    """Write a dataset as the numeric CSV `experiments.load_csv` reads."""
+    names = dataset.feature_names or tuple(f"x{i}" for i in range(dataset.dim))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + [target_column])
+        for row, target in zip(dataset.X, dataset.y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
 
 
 def sample_gaussian_pair(rng, span=10.0, n=4001, mu_range=2.0, sigma_lo=0.7, sigma_hi=1.6):

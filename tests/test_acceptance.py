@@ -45,7 +45,7 @@ from sabvi.gradcheck import run_suites
 from sabvi.models import BLRModel, XYData, blr_exact_posterior
 from sabvi.vi import MeanFieldGaussian, mc_objective_with_grad, sample_rows
 
-from conftest import sample_gaussian_pair
+from conftest import sample_gaussian_pair, with_log_offset
 
 
 def report(num, name, checks, elapsed):
@@ -193,12 +193,12 @@ def test_criterion_03_structural_properties():
         base = eval_sab(generic, p, q)
         for c in (0.1, 10.0):
             worst_scale = max(worst_scale,
-                              abs(eval_sab(generic, p.with_log_offset(math.log(c)), q) - base),
-                              abs(eval_sab(generic, p, q.with_log_offset(math.log(c))) - base))
+                              abs(eval_sab(generic, with_log_offset(p, math.log(c)), q) - base),
+                              abs(eval_sab(generic, p, with_log_offset(q, math.log(c))) - base))
             sum_zero = DivergenceParams(1.5, -1.5)
             base_sz = eval_sab(sum_zero, p, q)
             worst_scale = max(worst_scale,
-                              abs(eval_sab(sum_zero, p.with_log_offset(math.log(c)), q) - base_sz))
+                              abs(eval_sab(sum_zero, with_log_offset(p, math.log(c)), q) - base_sz))
             rescaled = eval_sab(generic, p, q, weights=c * p.reference_weights)
             worst_measure = max(worst_measure, abs(rescaled - base))
         a, b = rng.uniform(0.2, 2.2, 2)

@@ -97,3 +97,16 @@ def test_quadrature_sweep_references_are_finite_oracle_values(monkeypatch):
     sweep = workloads.quadrature_setup(7).sweep
     assert len(sweep) == 112 and kinds == {"kl", "renyi"}
     assert all(np.isfinite(reference) for *_, reference in sweep)
+
+
+@pytest.mark.parametrize("name", ["quadrature", "cv-bnn"])
+def test_benchmark_workload_passes_its_checks(monkeypatch, name):
+    # one seed-7 pass of each benchmark workload, with cv-bnn's extra check:
+    # a deletion in the package that breaks the benchmark fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    setup, run_pass, extra_check = importlib.import_module("workloads").WORKLOADS[name]
+    inputs = setup(7)
+    result = run_pass(inputs)
+    checks = result.checks + (extra_check(inputs)[0] if extra_check else [])
+    assert result.failed == 0 and result.attempted > 0
+    assert checks and [check for check in checks if not check[1]] == []

@@ -8,9 +8,11 @@ import pytest
 from sabvi import cli, experiments, vi
 from sabvi.cli import main
 from sabvi.divergence import DivergenceParams, DomainError, gaussian_log_pdf
-from sabvi.experiments import CVRunConfig, Dataset, gen_nonlinear, save_csv
+from sabvi.experiments import CVRunConfig, Dataset, gen_nonlinear
 from sabvi.models import BLRModel, XYData
 from sabvi.optim import AdamConfig
+
+from conftest import save_csv
 
 
 def run_cli(*args):
@@ -747,6 +749,10 @@ class TestRefusedRunWritesNothing:
                                                 "--p", "gaussian:0,1", "--q", "gaussian:0,1",
                                                 "--grid-points", 20],
                                  "spacing 1.05263 exceeds the smallest density scale 1"),
+        # 301 x 301 cells, more than the 16-bit stream indices address
+        "grid-step-too-fine": (lambda paths: ["uci", "--csv", paths["csv"],
+                                              "--grid-step", 0.01],
+                               "--grid-step: step 0.01 makes a grid of more than 65534"),
     }
 
     @staticmethod

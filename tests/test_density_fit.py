@@ -132,7 +132,7 @@ class TestSkewMixtureTarget:
 
 class TestGradients:
     def test_randomized_fd_agreement(self):
-        rows = density_fit_gradient_suite(n_cases=50, seed=0)
+        rows = density_fit_gradient_suite(seed=0)
         worst = max(r["max_rel_err"] for r in rows)
         assert worst < FIT_GRAD_TOL, worst
 

@@ -12,6 +12,7 @@ from sabvi.experiments import (
     CVRunConfig,
     Dataset,
     GridSearchSpec,
+    MAX_GRID_CELLS,
     OUTLIER_SHIFT,
     ToyRunConfig,
     corrupt,
@@ -22,11 +23,12 @@ from sabvi.experiments import (
     nested_cv,
     normalize,
     run_toy_experiment,
-    save_csv,
 )
 from sabvi.models import BLRModel, XYData, predict
 from sabvi.optim import AdamConfig
 from sabvi.vi import TrainingDiverged
+
+from conftest import save_csv
 
 TOY_W = 0.5
 
@@ -193,7 +195,7 @@ class TestGridSearchSpec:
 
     @pytest.mark.parametrize("step,count", [(0.5, 33), (0.25, 137), (0.1, 881),
                                             (0.05, 3561), (0.3, 111), (0.7, 25),
-                                            (0.125, 561), (1 / 3, 93)])
+                                            (0.125, 561), (1 / 3, 93), (0.02, 22401)])
     def test_cells_are_the_lattice_filtered_by_the_trainer_rule(self, step, count):
         spec = GridSearchSpec(step=step)
 
@@ -209,6 +211,23 @@ class TestGridSearchSpec:
                    or (a != 0.0 and b != 0.0 and round(a + b, 10) != 0.0)]
         assert spec.cells() == by_rule == by_hand
         assert len(by_rule) == count
+
+    def test_grid_past_the_stream_indices_is_refused_before_any_list(self):
+        # nested CV streams the cells by index, then the retraining and the
+        # KL baseline by the next two: 2**16 - 2 cells fill the 16-bit index
+        assert MAX_GRID_CELLS == 2**16 - 2
+        rng.compose_stream(rng.STREAM_TRAIN, 0, MAX_GRID_CELLS + 1, 0)
+        with pytest.raises(ValueError, match="16 bits"):
+            rng.compose_stream(rng.STREAM_TRAIN, 0, MAX_GRID_CELLS + 2, 0)
+        one_axis = {"beta_range": (0.5, 0.5), "step": 1.0}
+        GridSearchSpec(alpha_range=(0.0, MAX_GRID_CELLS - 1.0), **one_axis)
+        # one cell past the bound; 301 x 301 cells; 3e9 values per axis, far
+        # too many to list; a step or a range whose count overflows to inf
+        for kwargs in ({"alpha_range": (0.0, float(MAX_GRID_CELLS)), **one_axis},
+                       {"step": 0.01}, {"step": 1e-9}, {"step": 5e-324},
+                       {"alpha_range": (-1e308, 1e308), "step": 1.0}):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_CELLS} "):
+                GridSearchSpec(**kwargs)
 
     def test_degenerate_single_cell_grid(self):
         spec = GridSearchSpec(alpha_range=(1.0, 1.0), beta_range=(0.0, 0.0), step=0.5)
@@ -262,9 +281,9 @@ class TestToyExperiment:
                                   XYData(fit.X, fit.y), vi.MCConfig(cfg.mc_samples, seed),
                                   AdamConfig(learning_rate=cfg.learning_rate, steps=cfg.steps),
                                   stream=rng.compose_stream(rng.STREAM_TRAIN, i))
-                summary = predict(report.final, model, test.X, cfg.predict_draws, seed,
-                                  stream=rng.compose_stream(rng.STREAM_PREDICT, i))
-                assert scores == {"seed": seed, **metrics(test.y, summary.mean)}
+                mean = predict(report.final, model, test.X, cfg.predict_draws, seed,
+                               stream=rng.compose_stream(rng.STREAM_PREDICT, i))
+                assert scores == {"seed": seed, **metrics(test.y, mean)}
                 reports.append(report.to_dict())
         assert json.dumps(result["reports"]) == json.dumps(reports)
 

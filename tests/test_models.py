@@ -13,7 +13,6 @@ from sabvi.gradcheck import MODEL_GRAD_TOL, check_log_joint_gradient, model_grad
 from sabvi.models import (
     BLRModel,
     BNNModel,
-    PredictiveSummary,
     XYData,
     blr_exact_posterior,
     model_from_config,
@@ -172,8 +171,8 @@ class TestPredict:
         theta = np.array([0.5, -0.3, 0.2])
         q = MeanFieldGaussian(theta, np.full(3, -30.0))
         X = rng.uniform(-1, 1, (7, 2))
-        summary = predict(q, model, X, draws=50, seed=0)
-        np.testing.assert_allclose(summary.mean, model.outputs(theta[None], X)[0], atol=1e-6)
+        mean = predict(q, model, X, draws=50, seed=0)
+        np.testing.assert_allclose(mean, model.outputs(theta[None], X)[0], atol=1e-6)
 
     def test_posterior_draws_match_closed_form_mean(self, rng):
         X = rng.uniform(-1, 1, (30, 2))
@@ -184,22 +183,13 @@ class TestPredict:
         q = MeanFieldGaussian(mean, 0.5 * np.log(np.diag(cov)))
         X_test = rng.uniform(-1, 1, (9, 2))
         draws = 100_000
-        summary = predict(q, model, X_test, draws=draws, seed=1)
+        mean_pred = predict(q, model, X_test, draws=draws, seed=1)
         phi = np.hstack([X_test, np.ones((9, 1))])
         want = phi @ mean
         # per-point MC standard error from the factorized posterior
         se = np.sqrt((phi**2) @ np.diag(cov) / draws)
-        assert np.all(np.abs(summary.mean - want) < 3 * se + 1e-12)
-
-    def test_stddev_never_below_noise_floor(self, rng):
-        model = BLRModel(input_dim=2, noise_sigma=0.3)
-        q = MeanFieldGaussian(np.zeros(3), np.full(3, -30.0))
-        summary = predict(q, model, rng.uniform(-1, 1, (5, 2)), draws=20, seed=2)
-        assert np.all(summary.std >= model.noise_sigma - 1e-12)
-
-    def test_draw_count_validated(self):
-        with pytest.raises(ValueError):
-            PredictiveSummary(np.zeros(2), np.zeros(2), 0)
+        assert mean_pred.shape == (9,)
+        assert np.all(np.abs(mean_pred - want) < 3 * se + 1e-12)
 
     @pytest.mark.parametrize("draws", [0, -1])
     def test_empty_draw_count_rejected_before_evaluating(self, draws):
@@ -217,24 +207,11 @@ class TestPredict:
     def test_chunked_prediction_equals_per_draw_outputs(self, rng, model, draws):
         q = MeanFieldGaussian(rng.normal(0, 0.5, model.dim), rng.normal(-1, 0.3, model.dim))
         X = rng.uniform(-1, 1, (11, 3))
-        summary = predict(q, model, X, draws=draws, seed=4, stream=9)
+        mean = predict(q, model, X, draws=draws, seed=4, stream=9)
         eps = sabrng.noise_block(4, 9, 0, draws, model.dim)
         thetas = q.mu + np.exp(q.log_sigma) * eps
         outputs = np.stack([model.outputs(theta[None], X)[0] for theta in thetas])
-        if getattr(model, "learn_noise", False):
-            noise_var = np.mean(np.exp(2.0 * thetas[:, -1]))
-        else:
-            noise_var = model.noise_sigma**2
-        np.testing.assert_array_equal(summary.mean, outputs.mean(axis=0))
-        np.testing.assert_array_equal(summary.std, np.sqrt(outputs.var(axis=0) + noise_var))
-
-    def test_learned_noise_sets_the_noise_floor(self, rng):
-        model = BNNModel((2, 3, 1), learn_noise=True)
-        mu = np.zeros(model.dim)
-        mu[-1] = math.log(2.0)
-        q = MeanFieldGaussian(mu, np.full(model.dim, -6.0))
-        summary = predict(q, model, rng.uniform(-1, 1, (5, 2)), draws=100, seed=3)
-        np.testing.assert_allclose(summary.std, 2.0, rtol=1e-3)
+        np.testing.assert_array_equal(mean, outputs.mean(axis=0))
 
 
 def _reference_log_joint(model, theta, X, y):

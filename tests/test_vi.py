@@ -183,7 +183,7 @@ class TestMCObjective:
 
 class TestMCGradient:
     def test_randomized_fd_agreement(self):
-        rows = mc_gradient_suite(n_cases=20, seed=0)
+        rows = mc_gradient_suite(seed=0)
         worst = max(r["max_rel_err"] for r in rows)
         assert worst < MC_GRAD_TOL, worst
 
