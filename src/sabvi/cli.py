@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck, vi
-from .density_fit import FitObjective, Gaussian1D, fit_gaussian, moment_matched_init, unresolved
+from .density_fit import FitObjective, Gaussian1D, GridBounds, fit_gaussian, moment_matched_init
 from .density_spec import SpecError, parse_density_spec, read_json_file, tabulate
 from .divergence import (DEFAULT_GRID_POINTS, DivergenceParams, DomainError, EvaluationError,
                          classify_region, eval_sab)
@@ -154,7 +154,7 @@ def cmd_fit_density(config: dict) -> int:
     if config.get("init_mu") is not None:
         log_sigma = config.get("init_log_sigma")
         init = Gaussian1D(config["init_mu"], 0.0 if log_sigma is None else log_sigma)
-        if (reason := unresolved(target, init.mu, init.log_sigma)) is not None:
+        if (reason := GridBounds.of(target).unresolved(init.mu, init.log_sigma)) is not None:
             raise ConfigError(f"--init-mu/--init-log-sigma: the start's {reason}")
     else:
         try:

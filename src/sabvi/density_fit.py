@@ -49,7 +49,11 @@ from .divergence import (
     sab_value,
     _power_lse,
 )
-from .optim import AdamConfig, AdamState, adam_step
+from .optim import BETA1, BETA2, AdamConfig, adam_rule
+
+# `adam_step` is not called here: the traced benchmark (perfbench/layers.py)
+# wraps it as this module's attribute, so the name has to stay importable.
+from .optim import adam_step  # noqa: F401
 
 GRADIENT_TOL = 1e-6  # sup-norm convergence threshold for fit_gaussian
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -212,20 +216,38 @@ def moment_matched_init(target: GridDensity) -> Gaussian1D:
     return Gaussian1D(mean, math.log(std))
 
 
-def unresolved(grid: GridDensity, mu: float, log_sigma: float) -> str | None:
-    """Why the grid cannot resolve the Gaussian (mu, exp(log_sigma)), or None
-    if it can: mu off the grid, or sigma below its spacing (the rule
-    `density_spec.tabulate` applies to targets) or above its width, with
-    sigma compared in log space."""
-    if not grid.lo <= mu <= grid.hi:
-        return f"mu {mu!r} lies outside the grid [{grid.lo!r}, {grid.hi!r}]"
-    spacing, width = grid.spacing, grid.hi - grid.lo
-    if spacing > 0 and log_sigma < math.log(spacing):  # a subnormal width's spacing can be 0
-        return (f"sigma exp({log_sigma!r}) is below the grid's spacing {spacing:.6g}, "
-                f"which cannot resolve it")
-    if log_sigma > math.log(width):
-        return f"sigma exp({log_sigma!r}) exceeds the grid's width {width:.6g}"
-    return None
+@dataclass(frozen=True, slots=True)
+class GridBounds:
+    """What `unresolved` reads of a grid, computed once: its ends, its
+    spacing and width, and their logs (-inf for a subnormal width's
+    spacing of 0, which resolves any sigma)."""
+
+    lo: float
+    hi: float
+    spacing: float
+    width: float
+    log_spacing: float
+    log_width: float
+
+    @classmethod
+    def of(cls, grid: GridDensity) -> "GridBounds":
+        spacing, width = grid.spacing, grid.hi - grid.lo
+        return cls(grid.lo, grid.hi, spacing, width,
+                   math.log(spacing) if spacing > 0 else -math.inf, math.log(width))
+
+    def unresolved(self, mu: float, log_sigma: float) -> str | None:
+        """Why the grid cannot resolve the Gaussian (mu, exp(log_sigma)), or
+        None if it can: mu off the grid, or sigma below its spacing (the rule
+        `density_spec.tabulate` applies to targets) or above its width, with
+        sigma compared in log space."""
+        if not self.lo <= mu <= self.hi:
+            return f"mu {mu!r} lies outside the grid [{self.lo!r}, {self.hi!r}]"
+        if log_sigma < self.log_spacing:
+            return (f"sigma exp({log_sigma!r}) is below the grid's spacing {self.spacing:.6g}, "
+                    f"which cannot resolve it")
+        if log_sigma > self.log_width:
+            return f"sigma exp({log_sigma!r}) exceeds the grid's width {self.width:.6g}"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +345,9 @@ class FitEvaluator:
     sigma once, derives log q (floored as `GridDensity` floors it) and
     d log q / d phi from z and z^2, and reduces the q-dependent power terms
     with one `lse_rows` call: each term's log integral goes into the value
-    and its softmax weights into the gradient.  Values and floored-tail
+    and its softmax weights into the gradient.  z, z^2, log q and the
+    exponent rows go into buffers allocated once per evaluator, with the
+    roundings of the plain expressions.  Values and floored-tail
     checks are those of the `eval_*` functions behind `divergence_value`.
     """
 
@@ -332,6 +356,7 @@ class FitEvaluator:
         kind, a, b = objective.kind, objective.alpha, objective.beta
         self.lp = p.log_values
         self.x = p.x
+        self.zs, self.lq = np.empty((2, self.x.size)), np.empty(self.x.size)  # per-call buffers
         sab = kind not in ("kl", "renyi")
         self.w = p.reference_weights if sab else p.weights
         self.target_error = None
@@ -354,21 +379,27 @@ class FitEvaluator:
             self.q_powers, self.target_rows = (a,), cross[None]
             self.terms = ("Renyi cross term",)
             self.target_floored = (cross_floored,)
+        self.q_column = np.array(self.q_powers)[:, None]
+        self.e = np.empty_like(self.target_rows)  # the exponent rows, reduced in place
 
     def value_and_grad(self, mu: float, log_sigma: float) -> tuple[float, np.ndarray]:
         """(divergence_value, analytic_gradient) at (mu, log sigma), in one pass."""
         kind, a, b = self.objective.kind, self.objective.alpha, self.objective.beta
         sigma = math.exp(log_sigma)
-        z = (self.x - mu) / sigma
-        zs = np.array((z, z * z))
-        lq = np.maximum(-0.5 * zs[1] - (log_sigma + 0.5 * _LOG_2PI), LOG_FLOOR)
+        zs, lq = self.zs, self.lq
+        np.subtract(self.x, mu, out=zs[0])
+        zs[0] /= sigma
+        np.multiply(zs[0], zs[0], out=zs[1])
+        np.multiply(zs[1], -0.5, out=lq)
+        lq -= log_sigma + 0.5 * _LOG_2PI
+        np.maximum(lq, LOG_FLOOR, out=lq)
 
         if kind == "kl":
             e = np.exp(lq)
             d = lq - self.lp
             v = self.w * (e * (d + 1.0))
             return float(np.dot(self.w, e * d)), _dlogq_sum(zs @ v, v.sum(), sigma)
-        e = np.multiply.outer(self.q_powers, lq)
+        e = np.multiply(self.q_column, lq, out=self.e)
         e += self.target_rows
         floored = lq <= LOG_FLOOR if min(self.q_powers) < 0 else None
         explosive = [_union(floored if c < 0 else None, target)
@@ -428,12 +459,17 @@ def fit_gaussian(objective: FitObjective, target: GridDensity,
     """Minimize the objective over (mu, log sigma) with ADAM against the
     tabulated target, from init (by default `moment_matched_init`).
 
-    Converges when the gradient sup-norm drops below GRADIENT_TOL.  An
-    evaluation error mid-run aborts and re-raises with the partial result
-    attached as ``exc.partial_result``.  An iterate the target's grid cannot
-    resolve (`unresolved`), the start included, and one that leaves the
-    float range (a floating-point overflow, division by zero or invalid
-    operation in a step) end the fit the same way, as an EvaluationError.
+    The loop carries mu, log sigma and their ADAM moments as Python floats
+    and steps each with `optim.adam_rule`, the rule `optim.adam_step`
+    applies to stacked rows, so the fit rounds as a one-row `AdamState`
+    would.  Converges when both gradient components are below
+    GRADIENT_TOL; a NaN component never is.  An evaluation error mid-run
+    aborts and re-raises with the partial result attached as
+    ``exc.partial_result``.  An iterate the target's grid cannot resolve
+    (`GridBounds.unresolved`, with the bounds read once per fit), the
+    start included, and a step that leaves the float range (a
+    floating-point overflow, division by zero or invalid operation, or a
+    non-finite gradient) end the fit the same way, as an EvaluationError.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -443,25 +479,38 @@ def fit_gaussian(objective: FitObjective, target: GridDensity,
         opt = AdamConfig()
 
     evaluator = FitEvaluator(objective, target)
-    state = AdamState.init(np.array([init.mu, init.log_sigma]))
+    bounds = GridBounds.of(target)
+    lr = opt.learning_rate
+    next_mu, next_log_sigma = float(init.mu), float(init.log_sigma)
+    m_mu = v_mu = m_ls = v_ls = 0.0  # ADAM's moments
     trace = []
     converged = False
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for _ in range(max_iters):
-            mu, log_sigma = state.params[0]
+        for t in range(1, max_iters + 1):
+            mu, log_sigma = next_mu, next_log_sigma
             try:
-                if (reason := unresolved(target, float(mu), float(log_sigma))) is not None:
+                if (reason := bounds.unresolved(mu, log_sigma)) is not None:
                     raise EvaluationError(f"the fit's iterate {len(trace)}: {reason}")
                 value, grad = evaluator.value_and_grad(mu, log_sigma)
                 trace.append(value)
-                if np.abs(grad).max() < GRADIENT_TOL:
+                g_mu, g_ls = grad.tolist()
+                if abs(g_mu) < GRADIENT_TOL and abs(g_ls) < GRADIENT_TOL:
                     converged = True
                     break
-                adam_step(state, grad, opt)
+                c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+                step = (adam_rule(mu, m_mu, v_mu, g_mu, c1, c2, lr, math.sqrt)
+                        + adam_rule(log_sigma, m_ls, v_ls, g_ls, c1, c2, lr, math.sqrt))
+                if not all(map(math.isfinite, step)):
+                    # floats overflow to inf silently: the same step on arrays raises
+                    # numpy's error, which only a non-finite gradient escapes
+                    adam_rule(np.array((mu, log_sigma)), np.array((m_mu, m_ls)),
+                              np.array((v_mu, v_ls)), grad, c1, c2, lr)
+                    raise FloatingPointError(f"the gradient ({g_mu!r}, {g_ls!r}) is not finite")
+                next_mu, m_mu, v_mu, next_log_sigma, m_ls, v_ls = step
             except (EvaluationError, FloatingPointError, OverflowError) as exc:
                 error = exc if isinstance(exc, EvaluationError) else EvaluationError(
-                    f"the fit left the float range at mu = {float(mu)!r}, "
-                    f"log sigma = {float(log_sigma)!r} ({exc})")
+                    f"the fit left the float range at mu = {mu!r}, "
+                    f"log sigma = {log_sigma!r} ({exc})")
                 if trace:
                     error.partial_result = FitResult(Gaussian1D(mu, log_sigma),
                                                      np.array(trace), False, len(trace))

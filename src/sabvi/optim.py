@@ -1,12 +1,16 @@
-"""Plain ADAM with bias correction, updated in place over stacked rows.
+"""Plain ADAM with bias correction: one elementwise rule, on floats or on stacked rows.
 
-One `AdamState` holds C parameter rows (a single vector is one row) with
-one step count per row, so C trainings that share a configuration take
-one update per step.  A row that skips a step keeps its parameters,
-moments and step count exactly as they were.  Each row's bias
-corrections ``1 - beta ** t`` are Python-scalar powers: numpy's powers
-of a float to an integer array round differently for some t, and a
-row's arithmetic must not depend on the rows it is stacked with.
+`adam_rule` is the update of one parameter, or of a whole array, built
+from plain operators and a correctly rounded square root, so a fit's two
+Python floats and a training's stacked rows round alike.  `adam_step`
+applies it to the rows of an `AdamState` that a mask selects: one state
+holds C parameter rows (a single vector is one row) with one step count
+per row, so C trainings that share a configuration take one update per
+step.  A row that skips a step keeps its parameters, moments and step
+count exactly as they were.  Each row's bias corrections ``1 - beta ** t``
+are Python-scalar powers: numpy's powers of a float to an integer array
+round differently for some t, and a row's arithmetic must not depend on
+the rows it is stacked with.
 """
 
 from __future__ import annotations
@@ -37,6 +41,20 @@ class AdamConfig:
                 "epsilon": EPSILON, "steps": self.steps}
 
 
+def adam_rule(params, m, v, g, c1, c2, learning_rate: float, sqrt=np.sqrt):
+    """(params, m, v) after one ADAM update with gradient g and the bias
+    corrections c1 = 1 - BETA1 ** t and c2 = 1 - BETA2 ** t of step t.
+
+    Elementwise, on floats or broadcasting arrays.  `sqrt` is np.sqrt, or
+    math.sqrt for floats: both round correctly, so a float update equals
+    the array one bit for bit, and stays a Python float, whose overflow is
+    a silent inf where numpy's errstate can raise.
+    """
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * g * g
+    return params - learning_rate * (m / c1) / (sqrt(v / c2) + EPSILON), m, v
+
+
 @dataclass(eq=False)
 class AdamState:
     params: np.ndarray = field(repr=False)  # C x P, one row per training
@@ -56,21 +74,18 @@ class AdamState:
 
 def adam_step(state: AdamState, grads: np.ndarray, config: AdamConfig,
               rows: np.ndarray | None = None) -> AdamState:
-    """One bias-corrected ADAM update, in place, of the rows mask `rows` picks (default all).
+    """One `adam_rule` update of the rows mask `rows` picks (default all).
 
     `grads` has the shape of `state.params` (a vector for a one-row
     state); the entries of rows that do not step are ignored, and an
-    all-False mask is a no-op.  Returns `state`.
+    all-False mask is a no-op.  Returns `state`, whose arrays are new
+    when every row steps.
     """
     g = np.array(grads, dtype=float, ndmin=2, copy=None)
     if g.shape != state.params.shape:
         raise ValueError("gradient shape does not match parameters")
-    if rows is None or rows.all():
-        rows = range(len(state.t))
-        params, m, v = state.params, state.m, state.v  # updated in place
-    else:
-        rows = np.flatnonzero(rows)
-        params, m, v, g = (a[rows] for a in (state.params, state.m, state.v, g))  # copies
+    every = rows is None or rows.all()
+    rows = range(len(state.t)) if every else np.flatnonzero(rows)
     c1, c2 = [], []  # bias corrections per stepping row
     for r in rows:
         t = state.t[r] = state.t[r] + 1
@@ -80,12 +95,10 @@ def adam_step(state: AdamState, grads: np.ndarray, config: AdamConfig,
         c1, c2 = c1[0], c2[0]
     else:
         c1, c2 = np.array(c1)[:, None], np.array(c2)[:, None]
-    # in place, with the roundings of m = BETA1 m + (1 - BETA1) g and its kin
-    m *= BETA1
-    m += (1.0 - BETA1) * g
-    v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    params -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
-    if params is not state.params:
-        state.params[rows], state.m[rows], state.v[rows] = params, m, v
+    lr = config.learning_rate
+    if every:
+        state.params, state.m, state.v = adam_rule(state.params, state.m, state.v, g, c1, c2, lr)
+    else:  # fancy indexing copies the stepping rows out; the assignment writes them back
+        state.params[rows], state.m[rows], state.v[rows] = adam_rule(
+            state.params[rows], state.m[rows], state.v[rows], g[rows], c1, c2, lr)
     return state

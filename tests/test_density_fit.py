@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import sabvi
 from sabvi.density_fit import (
+    GRADIENT_TOL,
     FitEvaluator,
     FitObjective,
     FitResult,
     Gaussian1D,
+    GridBounds,
     SkewComponent,
     SkewMixtureTarget,
     _normal_log_cdf,
@@ -34,7 +36,7 @@ from sabvi.divergence import (
     gaussian_log_pdf,
 )
 from sabvi.gradcheck import FIT_GRAD_TOL, density_fit_gradient_suite, finite_diff_gradient
-from sabvi.optim import AdamConfig
+from sabvi.optim import AdamConfig, AdamState, adam_step
 
 
 class TestSkewNormal:
@@ -373,6 +375,44 @@ class TestFitGaussian:
             fit_gaussian(FitObjective.kl(), target, init=Gaussian1D(5e-201, -461.0),
                          max_iters=50)
 
+    def test_overflowing_float_step_raises_numpy_message(self):
+        # lr 1e308 overflows lr * m_hat on the first step: on floats a silent
+        # inf, which must still end the fit with the stacked step's error
+        with pytest.raises(EvaluationError) as excinfo:
+            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default().tabulate(),
+                         init=Gaussian1D(2.0, math.log(0.3)),
+                         opt=AdamConfig(learning_rate=1e308), max_iters=5)
+        assert str(excinfo.value) == (
+            "the fit left the float range at mu = 2.0, log sigma = -1.2039728043259361 "
+            "(overflow encountered in multiply)")
+        partial = excinfo.value.partial_result
+        assert partial.iterations == 1 and not partial.converged
+        assert (partial.final.mu, partial.final.log_sigma) == (2.0, math.log(0.3))
+
+    @pytest.mark.parametrize("grad", [(0.0, math.nan), (math.nan, 0.0)])
+    def test_nan_gradient_never_reads_as_converged(self, monkeypatch, grad):
+        # max(abs(g0), abs(g1)) would drop the NaN; np.abs(grad).max() keeps it
+        monkeypatch.setattr(FitEvaluator, "value_and_grad",
+                            lambda self, mu, log_sigma: (0.5, np.array(grad)))
+        with pytest.raises(EvaluationError, match="the fit left the float range at mu = ") as exc:
+            fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default().tabulate(), max_iters=5)
+        assert "is not finite" in str(exc.value)
+        partial = exc.value.partial_result
+        assert partial.iterations == 1 and not partial.converged
+
+    def test_grid_bounds_resolve_exactly_the_grid_range(self):
+        grid = GridDensity(-2.0, 2.0, np.zeros(5))  # spacing 1, width 4
+        bounds = GridBounds.of(grid)
+        assert (bounds.log_spacing, bounds.log_width) == (0.0, math.log(4.0))
+        for mu, log_sigma in [(-2.0, 0.0), (2.0, math.log(4.0)), (0.0, 1.0)]:
+            assert bounds.unresolved(mu, log_sigma) is None
+        assert "lies outside the grid" in bounds.unresolved(math.nextafter(2.0, 3.0), 0.0)
+        assert "below the grid's spacing 1" in bounds.unresolved(0.0, -1e-300)
+        assert "exceeds the grid's width 4" in bounds.unresolved(0.0, math.log(4.0) + 1e-15)
+        # a subnormal width's spacing of 0 resolves any sigma
+        tiny = GridBounds.of(GridDensity(0.0, 5e-324, np.zeros(3)))
+        assert tiny.spacing == 0.0 and tiny.unresolved(0.0, -1e300) is None
+
     def test_max_iters_validated(self):
         with pytest.raises(ValueError):
             fit_gaussian(FitObjective.kl(), SkewMixtureTarget.default().tabulate(), max_iters=0)
@@ -397,3 +437,48 @@ class TestMassCoveringVsModeSeeking:
         tall_mode = x[np.argmax(skew_normal_log_pdf(x, -1.0, 0.6, 5.0))]
         _, target_std = density_moments(p)
         assert abs(mode_seeking_fit.final.mu - tall_mode) < target_std
+
+
+def _stacked_adam_fit(objective, target, max_iters):
+    """The fit loop on a one-row AdamState stepped by adam_step, with the
+    sup-norm convergence test: the oracle for fit_gaussian's float loop."""
+    evaluator, init = FitEvaluator(objective, target), moment_matched_init(target)
+    state = AdamState.init(np.array([init.mu, init.log_sigma]))
+    trace, converged = [], False
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for _ in range(max_iters):
+            mu, log_sigma = state.params[0]
+            value, grad = evaluator.value_and_grad(mu, log_sigma)
+            trace.append(value)
+            if np.abs(grad).max() < GRADIENT_TOL:
+                converged = True
+                break
+            adam_step(state, grad, AdamConfig())
+    return (mu, log_sigma), np.array(trace), converged
+
+
+def _assert_fit_equals_stacked_oracle(result, objective, target, max_iters):
+    final, trace, converged = _stacked_adam_fit(objective, target, max_iters)
+    assert (result.final.mu, result.final.log_sigma) == final
+    np.testing.assert_array_equal(result.divergence_trace, trace)
+    assert (result.iterations, result.converged) == (trace.size, converged)
+
+
+class TestFloatLoopEqualsStackedAdam:
+    """fit_gaussian steps two floats with optim.adam_rule; the one-row
+    AdamState loop it replaced gives the same fits bit for bit."""
+
+    @pytest.mark.parametrize("objective", [
+        *(FitObjective.sab(lam - beta, beta)
+          for lam, beta in ((1.8, 2.0), (1.8, -1.0), (2.4, 2.0), (2.4, -1.0))),
+        FitObjective.kl(), FitObjective.renyi(0.5), FitObjective.gamma(0.5),
+    ], ids=lambda objective: objective.label())
+    def test_every_benchmark_objective_at_300_iterations(self, objective):
+        target = SkewMixtureTarget.default().tabulate()
+        _assert_fit_equals_stacked_oracle(fit_gaussian(objective, target, max_iters=300),
+                                          objective, target, 300)
+
+    def test_the_full_non_converging_fit(self, mode_seeking_fit):
+        assert mode_seeking_fit.iterations == 5000 and not mode_seeking_fit.converged
+        _assert_fit_equals_stacked_oracle(mode_seeking_fit, FitObjective.sab(1.8 + 1.0, -1.0),
+                                          SkewMixtureTarget.default().tabulate(), 5000)

@@ -295,7 +295,7 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         state = AdamState.init(np.array([1.0, -2.0]))
-        before = state.params.copy()  # the update is in place
+        before = state.params.copy()  # the state's arrays may be updated in place
         new = adam_step(state, np.zeros(2), AdamConfig())
         np.testing.assert_array_equal(new.params, before)
 
@@ -336,6 +336,19 @@ class TestAdam:
         for r, single in enumerate(singles):
             for got, want in zip((stacked.params[r], stacked.m[r], stacked.v[r]), single):
                 np.testing.assert_array_equal(got, want)
+
+    def test_float_rule_equals_scalar_adam_bit_for_bit(self):
+        # the rule fit_gaussian applies to its two Python floats
+        g = np.random.default_rng(11)
+        cfg = AdamConfig(learning_rate=0.02)
+        for start in g.standard_normal(6).tolist():
+            row, want = (start, 0.0, 0.0), (start, 0.0, 0.0, 0)
+            for t in range(1, 1001):
+                grad = float(g.standard_normal() * 10.0 ** g.integers(-4, 4))
+                row = optim.adam_rule(*row, grad, 1.0 - optim.BETA1 ** t,
+                                      1.0 - optim.BETA2 ** t, cfg.learning_rate, math.sqrt)
+                want = self._scalar_adam(want, grad, cfg)
+                assert all(type(x) is float for x in row) and row == want[:3]
 
     def test_all_false_mask_is_a_no_op(self):
         state = AdamState.init(np.arange(6.0).reshape(2, 3))
