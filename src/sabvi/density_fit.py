@@ -345,9 +345,7 @@ class FitEvaluator:
     sigma once, derives log q (floored as `GridDensity` floors it) and
     d log q / d phi from z and z^2, and reduces the q-dependent power terms
     with one `lse_rows` call: each term's log integral goes into the value
-    and its softmax weights into the gradient.  z, z^2, log q and the
-    exponent rows go into buffers allocated once per evaluator, with the
-    roundings of the plain expressions.  Values and floored-tail
+    and its softmax weights into the gradient.  Values and floored-tail
     checks are those of the `eval_*` functions behind `divergence_value`.
     """
 
@@ -356,7 +354,6 @@ class FitEvaluator:
         kind, a, b = objective.kind, objective.alpha, objective.beta
         self.lp = p.log_values
         self.x = p.x
-        self.zs, self.lq = np.empty((2, self.x.size)), np.empty(self.x.size)  # per-call buffers
         sab = kind not in ("kl", "renyi")
         self.w = p.reference_weights if sab else p.weights
         self.target_error = None
@@ -379,27 +376,21 @@ class FitEvaluator:
             self.q_powers, self.target_rows = (a,), cross[None]
             self.terms = ("Renyi cross term",)
             self.target_floored = (cross_floored,)
-        self.q_column = np.array(self.q_powers)[:, None]
-        self.e = np.empty_like(self.target_rows)  # the exponent rows, reduced in place
 
     def value_and_grad(self, mu: float, log_sigma: float) -> tuple[float, np.ndarray]:
         """(divergence_value, analytic_gradient) at (mu, log sigma), in one pass."""
         kind, a, b = self.objective.kind, self.objective.alpha, self.objective.beta
         sigma = math.exp(log_sigma)
-        zs, lq = self.zs, self.lq
-        np.subtract(self.x, mu, out=zs[0])
-        zs[0] /= sigma
-        np.multiply(zs[0], zs[0], out=zs[1])
-        np.multiply(zs[1], -0.5, out=lq)
-        lq -= log_sigma + 0.5 * _LOG_2PI
-        np.maximum(lq, LOG_FLOOR, out=lq)
+        z = (self.x - mu) / sigma
+        zs = np.array((z, z * z))
+        lq = np.maximum(-0.5 * zs[1] - (log_sigma + 0.5 * _LOG_2PI), LOG_FLOOR)
 
         if kind == "kl":
             e = np.exp(lq)
             d = lq - self.lp
             v = self.w * (e * (d + 1.0))
             return float(np.dot(self.w, e * d)), _dlogq_sum(zs @ v, v.sum(), sigma)
-        e = np.multiply(self.q_column, lq, out=self.e)
+        e = np.multiply.outer(self.q_powers, lq)
         e += self.target_rows
         floored = lq <= LOG_FLOOR if min(self.q_powers) < 0 else None
         explosive = [_union(floored if c < 0 else None, target)
@@ -500,9 +491,11 @@ def fit_gaussian(objective: FitObjective, target: GridDensity,
                 c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
                 step = (adam_rule(mu, m_mu, v_mu, g_mu, c1, c2, lr, math.sqrt)
                         + adam_rule(log_sigma, m_ls, v_ls, g_ls, c1, c2, lr, math.sqrt))
-                if not all(map(math.isfinite, step)):
-                    # floats overflow to inf silently: the same step on arrays raises
-                    # numpy's error, which only a non-finite gradient escapes
+                # floats overflow to inf silently, also in v / c2, whose inf root
+                # only zeroes the step: the same step on arrays raises numpy's
+                # error, which only a NaN gradient escapes
+                if not (all(map(math.isfinite, step))
+                        and math.isfinite(step[2] / c2) and math.isfinite(step[5] / c2)):
                     adam_rule(np.array((mu, log_sigma)), np.array((m_mu, m_ls)),
                               np.array((v_mu, v_ls)), grad, c1, c2, lr)
                     raise FloatingPointError(f"the gradient ({g_mu!r}, {g_ls!r}) is not finite")

@@ -389,6 +389,22 @@ class TestFitGaussian:
         assert partial.iterations == 1 and not partial.converged
         assert (partial.final.mu, partial.final.log_sigma) == (2.0, math.log(0.3))
 
+    def test_overflowing_second_moment_ratio_raises_numpy_message(self, monkeypatch):
+        # v = 1e-3 * g * g is finite at g = 1e155, but v / c2 overflows: on
+        # floats its root is inf, which zeroes the step and leaves six finite values
+        monkeypatch.setattr(FitEvaluator, "value_and_grad",
+                            lambda self, mu, log_sigma: (0.5, np.array([1e155, 0.0])))
+        target = SkewMixtureTarget.default().tabulate()
+        init = moment_matched_init(target)
+        with pytest.raises(EvaluationError) as excinfo:
+            fit_gaussian(FitObjective.kl(), target, init=init, max_iters=5)
+        assert str(excinfo.value) == (
+            f"the fit left the float range at mu = {init.mu!r}, "
+            f"log sigma = {init.log_sigma!r} (overflow encountered in divide)")
+        partial = excinfo.value.partial_result
+        assert partial.iterations == 1 and not partial.converged
+        assert (partial.final.mu, partial.final.log_sigma) == (init.mu, init.log_sigma)
+
     @pytest.mark.parametrize("grad", [(0.0, math.nan), (math.nan, 0.0)])
     def test_nan_gradient_never_reads_as_converged(self, monkeypatch, grad):
         # max(abs(g0), abs(g1)) would drop the NaN; np.abs(grad).max() keeps it

@@ -295,7 +295,7 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         state = AdamState.init(np.array([1.0, -2.0]))
-        before = state.params.copy()  # the state's arrays may be updated in place
+        before = state.params.copy()
         new = adam_step(state, np.zeros(2), AdamConfig())
         np.testing.assert_array_equal(new.params, before)
 
